@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .spec import ROOT
 
 SRC = os.path.join(ROOT, "src")
@@ -59,14 +61,10 @@ def make_run_dir(label: str) -> str:
 # ---------------------------------------------------------------------------
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile ``q`` in [0, 100] (numpy's default)."""
-    data = sorted(values)
-    if not data:
+    """Linear-interpolated percentile ``q`` in [0, 100]."""
+    if not values:
         raise ValueError("percentile of no samples")
-    pos = (len(data) - 1) * q / 100.0
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(data) - 1)
-    return data[lo] + (data[hi] - data[lo]) * (pos - lo)
+    return float(np.percentile(values, q))
 
 
 def tail(values: Sequence[float]) -> Tuple[float, float, int]:
@@ -157,7 +155,6 @@ def _openblas() -> Dict[str, Any]:
 
 def host_fingerprint() -> Dict[str, Any]:
     """Numbers only compare within one host class: say which this is."""
-    import numpy as np
     from repro.obs.bench import git_sha
 
     blas = _openblas()

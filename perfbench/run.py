@@ -112,8 +112,6 @@ def main(argv=None) -> int:
         print(f"perfbench {args.workload} seed={args.seed} "
               f"seconds={args.seconds:g} trace={args.trace}")
         print("host " + json.dumps(host_fingerprint(), sort_keys=True))
-        setup_samples = ([] if args.trace
-                         else measure_setup(args.workload, args.seed, run_dir))
         recorder = None
         if args.trace:
             from perfbench import tracing
@@ -127,6 +125,10 @@ def main(argv=None) -> int:
             if recorder is not None:
                 recorder.uninstall()
         reap_children()
+        # Read before the set-up probes run: they are reaped children too.
+        rss_mb = peak_rss_mb()
+        setup_samples = ([] if args.trace
+                         else measure_setup(args.workload, args.seed, run_dir))
 
         errors = list(result.errors)
         if args.trace:
@@ -138,7 +140,7 @@ def main(argv=None) -> int:
         else:
             metrics = dict(result.metrics)
             metrics["setup_s"] = median(setup_samples)
-            metrics["peak_rss_mb"] = peak_rss_mb()
+            metrics["peak_rss_mb"] = rss_mb
             metrics["ok_ratio"] = 1.0 - result.failed / result.attempted
             names = list(spec.END_TO_END)
             lines = [f"setup_s samples: " + ", ".join(f"{s:.4f}" for s in setup_samples)]

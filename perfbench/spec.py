@@ -9,8 +9,8 @@ holds what that file has no room for:
   their operation is defined per workload below;
 * the per-layer -> end-to-end map: which end-to-end metric a layer metric
   should move, on which workload, and where that layer is idle;
-* the metric names of the originating design, each mapped onto what the
-  benchmark prints, or listed as dropped with the reason.
+* the metric names of the originating design that are printed under
+  another name or in the other tier, or dropped, with the reason.
 
 The tests in ``perfbench/tests`` check this module against
 ``BENCHMARK.json`` and against what the workloads print.
@@ -161,12 +161,11 @@ def per_layer_names() -> List[str]:
     return list(LAYER_MAP) + layer_time_metrics() + list(TRACE_METRICS)
 
 
-#: Metric names of the originating design -> what the benchmark prints.
-#: A value naming a metric means it is printed under that name (on the
+#: Metric names of the originating design that the benchmark does not
+#: print under the same name, or prints in the other tier.  Every other
+#: design name is printed as it is.  A value names what is printed (on the
 #: given workload); a value starting with "dropped:" gives the reason.
 DESIGN_NAMES: Dict[str, str] = {
-    "setup_s": "setup_s",
-    "peak_rss_mb": "peak_rss_mb",
     "failed_ratio": "ok_ratio (= 1 - failed_ratio; a metric that reads 0 "
                     "on every good run cannot carry a relative bound)",
     "train.samples_per_s": "throughput_per_s on train",
@@ -184,53 +183,6 @@ DESIGN_NAMES: Dict[str, str] = {
                                    "it varies with the seeded inputs by more "
                                    "than any allowed bound)",
     "pipeline.wirelength_um": "routing.wirelength_um (per-layer, as above)",
-    "nn.forward_ms": "nn.forward_ms, nn.forward_ms_b1/_b2/_b4/_b64",
-    "nn.conv_fwd_ms": "nn.conv_fwd_ms",
-    "nn.deconv_fwd_ms": "nn.deconv_fwd_ms",
-    "nn.backward_ms": "nn.backward_ms",
-    "nn.adam_step_ms": "nn.adam_step_ms",
-    "nn.forward_gflop": "nn.forward_gflop",
-    "rl.collect_s": "rl.collect_s",
-    "rl.collect_steps_per_s": "rl.collect_steps_per_s",
-    "rl.update_s": "rl.update_s",
-    "rl.minibatches": "rl.minibatches",
-    "rl.update_rss_growth_mb": "rl.update_rss_growth_mb",
-    "rl.act_ms": "rl.act_ms",
-    "rl.solve_attempts_mean": "rl.solve_attempts_mean",
-    "rl.dead_end_ratio": "rl.dead_end_ratio",
-    "gnn.encode_ms": "gnn.encode_ms",
-    "gnn.encode_calls": "gnn.encode_calls",
-    "gnn.embedding_hit_ratio": "gnn.embedding_hit_ratio",
-    "floorplan.env_step_us": "floorplan.env_step_us",
-    "floorplan.env_steps": "floorplan.env_steps",
-    "floorplan.masks_us": "floorplan.masks_us",
-    "floorplan.vecenv_step_ms": "floorplan.vecenv_step_ms",
-    "baselines.sa_s": "baselines.sa_s",
-    "baselines.ga_s": "baselines.ga_s",
-    "baselines.pso_s": "baselines.pso_s",
-    "baselines.rl_sa_s": "baselines.rl_sa_s",
-    "baselines.rl_sp_s": "baselines.rl_sp_s",
-    "routing.global_route_s": "routing.global_route_s and "
-                              "routing.global_route_s.<circuit>",
-    "routing.channels_s": "routing.channels_s",
-    "routing.detailed_route_s": "routing.detailed_route_s",
-    "layout.generate_s": "layout.generate_s",
-    "layout.signoff_s": "layout.signoff_s",
-    "engine.task_s": "engine.task_s",
-    "engine.queue_wait_s": "engine.queue_wait_s",
-    "engine.parallel_efficiency": "engine.parallel_efficiency",
-    "engine.pool_start_s": "engine.pool_start_s",
-    "engine.retries": "engine.retries",
-    "engine.pool_rebuilds": "engine.pool_rebuilds",
-    "engine.cache_get_ms": "engine.cache_get_ms",
-    "engine.cache_put_ms": "engine.cache_put_ms",
-    "engine.cache_hit_ratio": "engine.cache_hit_ratio",
-    "serve.batch_size_mean": "serve.batch_size_mean",
-    "serve.coalesced_ratio": "serve.coalesced_ratio",
-    "serve.overhead_ms": "serve.overhead_ms",
-    "serve.shed": "serve.shed",
-    "serve.deadline_exceeded": "serve.deadline_exceeded",
-    "serve.errors": "serve.errors",
 }
 
 

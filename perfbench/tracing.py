@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import json
 import os
 import threading
 import time
@@ -159,13 +158,16 @@ class Recorder:
 
     # -- output ----------------------------------------------------------
     def write_jsonl(self, path: str) -> int:
-        """Chrome-trace JSONL in ``repro.obs`` format; returns event count."""
+        """Chrome-trace JSONL in ``repro.obs`` format; returns event count.
+
+        The spans go into a private :class:`repro.obs.trace.Tracer`, whose
+        writer adds the process metadata; ``repro.obs`` stays off.
+        """
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
         pid = os.getpid()
-        lanes: Dict[int, int] = {}
-        events: List[Dict[str, Any]] = [
-            {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-             "args": {"name": f"perfbench (pid {pid})"}},
-        ]
+        lanes: Dict[int, int] = {threading.main_thread().ident: 0}
         for span in sorted(self.spans, key=lambda s: s.start):
             lane = lanes.setdefault(span.tid, len(lanes))
             args: Dict[str, Any] = {"layer": span.layer, "id": span.sid,
@@ -174,17 +176,15 @@ class Recorder:
                 args["request"] = span.request
             if span.args:
                 args.update(span.args)
-            events.append({
+            tracer.events.append({
                 "name": span.name, "ph": "X", "cat": "perfbench",
                 "ts": round((span.start - self.epoch) * 1e6, 3),
                 "dur": round(span.dur * 1e6, 3),
                 "pid": pid, "tid": lane, "args": args,
             })
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as handle:
-            for event in events:
-                handle.write(json.dumps(event) + "\n")
-        return len(events)
+        tracer.write_jsonl(path)
+        return len(tracer.metadata_events()) + len(tracer.events)
 
 
 # ---------------------------------------------------------------------------
