@@ -228,12 +228,12 @@ def _reference_collect(ppo, vecenv, observations, rollout_steps=None):
     )
 
     def batch(obs):
-        masks = np.stack([o.masks for o in obs]).astype(np.float64, copy=False)
-        action_mask = np.stack([o.action_mask for o in obs])
-        encoded = [ppo._encode(o) for o in obs]
-        node = np.stack([e[0] for e in encoded]).astype(np.float64, copy=False)
-        graph = np.stack([e[1] for e in encoded]).astype(np.float64, copy=False)
-        return masks, node, graph, action_mask
+        masks = obs.masks.astype(np.float64, copy=False)
+        encoded = [ppo._encode_batch([g], [i])
+                   for g, i in zip(obs.graphs, obs.block_indices)]
+        node = np.concatenate([e[0] for e in encoded]).astype(np.float64, copy=False)
+        graph = np.concatenate([e[1] for e in encoded]).astype(np.float64, copy=False)
+        return masks, node, graph, obs.action_mask
 
     while not buffer.full:
         masks, node_emb, graph_emb, action_mask = batch(observations)
@@ -241,7 +241,7 @@ def _reference_collect(ppo, vecenv, observations, rollout_steps=None):
         dist = _ReferenceMaskedCategorical(logits, action_mask)
         actions = dist.sample(ppo.rng)
         log_probs = dist.log_prob(actions).numpy()
-        observations, rewards, dones, _ = vecenv.step(actions)
+        observations, rewards, dones, _ = vecenv.step_stacked(actions)
         buffer.add(masks, node_emb, graph_emb, action_mask, actions,
                    log_probs, values.numpy(), rewards, dones)
     masks, node_emb, graph_emb, _ = batch(observations)
@@ -291,9 +291,9 @@ def _measure():
     seed_like.ppo.invalidate_cache()
 
     # Warm both embedding caches for every circuit, outside the clocks.
-    for o in _vecenv().reset():
-        fast.ppo._encode(o)
-        seed_like.ppo._encode(o)
+    warm = _vecenv().reset()
+    fast.ppo._encode_batch(warm.graphs, warm.block_indices)
+    seed_like.ppo._encode_batch(warm.graphs, warm.block_indices)
 
     # --- act (inference) steps/sec, fast path only ---------------------
     vec = _vecenv()

@@ -33,13 +33,7 @@ from .routability import (
     routability_reward,
 )
 from .state import FloorplanState, PlacedBlock
-from .vecenv import (
-    ProcessVecEnv,
-    StackedObservations,
-    VecEnv,
-    make_vecenv,
-    stack_observations,
-)
+from .vecenv import StackedObservations, VecEnv, stack_observations
 
 __all__ = [
     "CanvasGrid",
@@ -51,9 +45,7 @@ __all__ = [
     "PlacedBlock",
     "RoutabilityEstimate",
     "StackedObservations",
-    "ProcessVecEnv",
     "VecEnv",
-    "make_vecenv",
     "estimate_routability",
     "routability_reward",
     "stack_observations",

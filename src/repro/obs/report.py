@@ -47,8 +47,7 @@ def _rows(header: List[str], rows: List[List[str]]) -> List[str]:
 _RESIL_PREFIXES = (
     "resil.", "chaos.", "engine.pool_rebuilds", "serve.shed",
     "serve.deadline_exceeded", "serve.pool_restarts", "serve.queue_depth",
-    "serve.drained", "serve.drain_abandoned", "vecenv.crashes",
-    "vecenv.respawns", "sweep.resumed_cells",
+    "serve.drained", "serve.drain_abandoned", "sweep.resumed_cells",
 )
 
 

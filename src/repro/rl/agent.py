@@ -23,7 +23,7 @@ from ..config import TrainConfig
 from ..floorplan.curriculum import HybridCurriculum
 from ..floorplan.env import FloorplanEnv
 from ..floorplan.metrics import hpwl_lower_bound
-from ..floorplan.vecenv import VecEnv
+from ..floorplan.vecenv import VecEnv, stack_observations
 from ..gnn.rgcn import RGCNEncoder
 from ..graph.features import FEATURE_DIM
 from ..nn import load_module, save_module
@@ -194,7 +194,9 @@ class FloorplanAgent:
                 done = False
                 info: Dict = {}
                 while not done:
-                    actions, _, _ = self.ppo.act([obs], deterministic=use_mode, rng=rng)
+                    actions, _, _ = self.ppo.act(
+                        stack_observations([obs]), deterministic=use_mode, rng=rng
+                    )
                     obs, _, done, info = env.step(int(actions[0]))
                 if not info.get("violation"):
                     rects = [

@@ -16,8 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..config import EMBEDDING_DIM, TrainConfig
-from ..floorplan.env import Observation
-from ..floorplan.vecenv import StackedObservations, VecEnv, stack_observations
+from ..floorplan.vecenv import StackedObservations, VecEnv
 from ..graph.hetero import HeteroGraph
 from ..gnn.rgcn import RGCNEncoder
 from ..nn import Adam, Tensor, no_grad
@@ -96,7 +95,6 @@ class MaskedPPO:
         self.rng = np.random.default_rng(self.config.seed)
         self._embedding_cache: "OrderedDict[object, Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
         self._episode_returns: deque = deque(maxlen=100)
-        self._running_returns: Optional[np.ndarray] = None
         self.episodes_total = 0
 
     # ------------------------------------------------------------------
@@ -105,8 +103,7 @@ class MaskedPPO:
         """Stable cache key for a graph.
 
         Keyed on the graph's ``uid`` token (not ``id()``: a GC'd graph's
-        recycled id could silently alias a different graph, and the uid
-        survives pickling across vec-env worker processes).  ``id()`` is
+        recycled id could silently alias a different graph).  ``id()`` is
         the fallback for foreign graph objects without a uid token.
         """
         key = getattr(graph, "uid", None)
@@ -125,23 +122,6 @@ class MaskedPPO:
         while len(cache) > self.EMBEDDING_CACHE_SIZE:
             cache.popitem(last=False)  # evict least recently used
 
-    def _encode(self, observation: Observation) -> Tuple[np.ndarray, np.ndarray]:
-        """Frozen R-GCN features for (current node, graph), cached per graph.
-
-        Per-graph reference path; :meth:`_encode_batch` is the batched
-        equivalent (bit-identical output) used by ``act``/``collect``.
-        """
-        graph = observation.graph
-        key = self._cache_key(graph)
-        entry = self._cache_get(key)
-        if entry is None:
-            entry = self.encoder.encode_numpy(graph)
-            self._cache_put(key, entry)
-        nodes, graph_emb = entry
-        node_index = observation.block_index
-        node_emb = nodes[node_index] if 0 <= node_index < nodes.shape[0] else np.zeros_like(graph_emb)
-        return node_emb, graph_emb
-
     def _encode_batch(
         self, graphs: Sequence[HeteroGraph], block_indices: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,8 +130,8 @@ class MaskedPPO:
         Cache misses are deduplicated (vec-envs usually share a handful of
         circuits) and encoded in **one** batched R-GCN forward
         (:meth:`RGCNEncoder.encode_batch_numpy`), which is bit-identical
-        to the per-graph :meth:`_encode` path.  Returns ``(node_emb,
-        graph_emb)`` stacks of shape ``(B, d)``.
+        to the per-graph :meth:`RGCNEncoder.encode_numpy`.  Returns
+        ``(node_emb, graph_emb)`` stacks of shape ``(B, d)``.
         """
         entries: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
         keys: List[object] = []
@@ -193,16 +173,9 @@ class MaskedPPO:
         self._embedding_cache.clear()
 
     def _batch_observations(
-        self, observations: Union[Sequence[Observation], StackedObservations]
+        self, stacked: StackedObservations
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stack observations, cast once to the policy's compute dtype.
-
-        Accepts either a list of per-env :class:`Observation` or an
-        already-stacked :class:`StackedObservations` (the vec-env
-        ``*_stacked`` methods produce the latter, skipping per-step
-        re-marshalling).
-        """
-        stacked = stack_observations(observations)
+        """Encode a stacked batch, cast once to the policy's compute dtype."""
         dtype = self.policy.dtype
         masks = stacked.masks.astype(dtype, copy=False)
         action_mask = stacked.action_mask
@@ -215,7 +188,7 @@ class MaskedPPO:
 
     def act(
         self,
-        observations: Union[Sequence[Observation], StackedObservations],
+        observations: StackedObservations,
         deterministic: Union[bool, Sequence[bool], np.ndarray] = False,
         rng: Union[None, np.random.Generator, Sequence[np.random.Generator]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +235,7 @@ class MaskedPPO:
     def collect(
         self,
         vecenv: VecEnv,
-        observations: Union[List[Observation], StackedObservations],
+        observations: StackedObservations,
         on_episode_end: Optional[Callable[[int, float, Dict], None]] = None,
         rollout_steps: Optional[int] = None,
     ) -> Tuple["RolloutBuffer", StackedObservations, int]:
@@ -273,9 +246,11 @@ class MaskedPPO:
         budget) — callers never need to mutate the shared config.
 
         Observations flow through the loop in stacked form
-        (:class:`StackedObservations`): the vec-env steps with
-        ``step_stacked`` and the returned ``next_observations`` are
-        stacked too — feed them straight back into the next ``collect``.
+        (:class:`StackedObservations`, as ``vecenv.reset()`` returns
+        them): feed the returned ``next_observations`` straight back into
+        the next ``collect``.  Episode returns come from the vec-env
+        (``info["episode_return"]``), so partial episodes of a previous
+        vec-env never leak into this one.
         """
         from .rollout import RolloutBuffer
 
@@ -283,13 +258,9 @@ class MaskedPPO:
         t0 = time.perf_counter() if telemetry else 0.0
         cfg = self.config
         steps = rollout_steps if rollout_steps is not None else cfg.rollout_steps
-        observations = stack_observations(observations)
-        step_stacked = getattr(vecenv, "step_stacked", None)
         buffer = RolloutBuffer(
             steps, vecenv.num_envs, EMBEDDING_DIM, dtype=self.policy.dtype,
         )
-        if self._running_returns is None or len(self._running_returns) != vecenv.num_envs:
-            self._running_returns = np.zeros(vecenv.num_envs)
         episodes = 0
 
         with profile_scope("ppo.collect"):
@@ -301,22 +272,17 @@ class MaskedPPO:
                     dist = MaskedCategorical(logits, action_mask)
                     actions = dist.sample(self.rng)
                     log_probs = dist.log_prob(actions).numpy()
-                if step_stacked is not None:
-                    next_observations, rewards, dones, infos = step_stacked(actions)
-                else:  # duck-typed vec-envs exposing only the list interface
-                    stepped, rewards, dones, infos = vecenv.step(actions)
-                    next_observations = stack_observations(stepped)
+                next_observations, rewards, dones, infos = vecenv.step_stacked(actions)
                 buffer.add(masks, node_emb, graph_emb, action_mask, actions,
                            log_probs, values.numpy(), rewards, dones)
-                self._running_returns += rewards
                 for i, done in enumerate(dones):
                     if done:
                         episodes += 1
                         self.episodes_total += 1
-                        self._episode_returns.append(self._running_returns[i])
+                        episode_return = infos[i]["episode_return"]
+                        self._episode_returns.append(episode_return)
                         if on_episode_end is not None:
-                            on_episode_end(i, self._running_returns[i], infos[i])
-                        self._running_returns[i] = 0.0
+                            on_episode_end(i, episode_return, infos[i])
                 observations = next_observations
 
             # Bootstrap values for the unfinished trajectories.

@@ -159,25 +159,38 @@ class TestVecEnv:
         observations = vec.reset()
         rng = np.random.default_rng(0)
         for _ in range(12):
-            actions = []
-            for obs in observations:
-                valid = np.nonzero(obs.action_mask)[0]
-                actions.append(int(rng.choice(valid)))
-            observations, rewards, dones, infos = vec.step(actions)
+            actions = [int(rng.choice(np.nonzero(row)[0]))
+                       for row in observations.action_mask]
+            observations, rewards, dones, infos = vec.step_stacked(actions)
             assert rewards.shape == (3,)
-            for obs in observations:
-                # auto-reset means every returned obs is actionable
-                assert obs.action_mask.any()
+            assert observations.masks.shape[0] == 3
+            # auto-reset means every returned obs is actionable
+            assert observations.action_mask.any(axis=1).all()
 
     def test_wrong_action_count_rejected(self):
         vec = VecEnv([FloorplanEnv(get_circuit("ota_small"))])
         vec.reset()
         with pytest.raises(ValueError):
-            vec.step([0, 1])
+            vec.step_stacked([0, 1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             VecEnv([])
+
+    def test_reset_clears_partial_returns(self):
+        """``info["episode_return"]`` sums only the episode that ended."""
+        vec = VecEnv([FloorplanEnv(get_circuit("ota_small"))])
+        observations = vec.reset()
+        action = int(np.nonzero(observations.action_mask[0])[0][0])
+        vec.step_stacked([action])  # leave an unfinished partial return
+        observations = vec.reset()
+        total = 0.0
+        for _ in range(3):
+            action = int(np.nonzero(observations.action_mask[0])[0][0])
+            observations, rewards, dones, infos = vec.step_stacked([action])
+            total += rewards[0]
+        assert dones[0]
+        assert infos[0]["episode_return"] == pytest.approx(total)
 
 
 class TestVecEnvResetHook:
@@ -187,8 +200,8 @@ class TestVecEnvResetHook:
     def _run_to_done(vec, observations, max_steps=16):
         """Step first-valid actions until some env finishes an episode."""
         for _ in range(max_steps):
-            actions = [int(np.nonzero(o.action_mask)[0][0]) for o in observations]
-            observations, rewards, dones, infos = vec.step(actions)
+            actions = [int(np.nonzero(row)[0][0]) for row in observations.action_mask]
+            observations, rewards, dones, infos = vec.step_stacked(actions)
             if dones.any():
                 return observations, dones, infos
         raise AssertionError("no episode finished")
@@ -231,10 +244,10 @@ class TestVecEnvResetHook:
         # Terminal observation is kept from the *old* episode...
         assert infos[0]["terminal_observation"].graph.num_nodes == 3
         # ...while the returned observation opens the new circuit's episode.
-        assert observations[0].graph.num_nodes == bias1.num_blocks
+        assert observations.graphs[0].num_nodes == bias1.num_blocks
         fresh = FloorplanEnv(bias1).reset()
-        assert observations[0].block_index == fresh.block_index
-        assert observations[0].action_mask.any()
+        assert observations.block_indices[0] == fresh.block_index
+        assert observations.action_mask[0].any()
 
     def test_hook_not_called_mid_episode(self):
         vec = VecEnv([FloorplanEnv(get_circuit("ota_small"))])
@@ -242,50 +255,10 @@ class TestVecEnvResetHook:
         vec.reset_hook = lambda i, env: calls.append(i)
         observations = vec.reset()
         # One step on a 3-block circuit cannot finish the episode.
-        action = int(np.nonzero(observations[0].action_mask)[0][0])
-        _, _, dones, _ = vec.step([action])
+        action = int(np.nonzero(observations.action_mask[0])[0][0])
+        _, _, dones, _ = vec.step_stacked([action])
         assert not dones[0]
         assert calls == []
-
-
-class TestVecEnvSetTask:
-    """``set_task`` passes ``(index, env)`` — the env is no longer dropped."""
-
-    def test_maker_receives_index_and_env(self):
-        envs = [FloorplanEnv(get_circuit("ota_small")) for _ in range(3)]
-        vec = VecEnv(envs)
-        calls = []
-        vec.set_task(lambda i, env: calls.append((i, env)))
-        assert [i for i, _ in calls] == [0, 1, 2]
-        for i, env in calls:
-            assert env is envs[i]
-
-    def test_maker_can_actually_switch_the_task(self):
-        vec = VecEnv([FloorplanEnv(get_circuit("ota_small"))])
-        bias1 = get_circuit("bias1")
-        vec.set_task(lambda i, env: env.set_circuit(bias1))
-        assert vec.envs[0].circuit is bias1
-
-    def test_legacy_one_arg_maker_still_supported(self):
-        vec = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
-        calls = []
-
-        def legacy(index):
-            calls.append(index)
-
-        vec.set_task(legacy)
-        assert calls == [0, 1]
-
-    def test_two_arg_signature_detected_for_callables(self):
-        vec = VecEnv([FloorplanEnv(get_circuit("ota_small"))])
-        seen = {}
-
-        class Maker:
-            def __call__(self, index, env):
-                seen[index] = env
-
-        vec.set_task(Maker())
-        assert seen[0] is vec.envs[0]
 
 
 class TestStackObservationsEmpty:

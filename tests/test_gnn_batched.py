@@ -14,7 +14,7 @@ from repro import nn
 from repro.circuits import get_circuit
 from repro.config import TrainConfig
 from repro.floorplan.env import FloorplanEnv
-from repro.floorplan.vecenv import VecEnv, stack_observations
+from repro.floorplan.vecenv import StackedObservations, VecEnv, stack_observations
 from repro.gnn import RGCNEncoder
 from repro.graph import FEATURE_DIM, batch_graphs, circuit_to_graph
 from repro.graph.hetero import _BATCH_CACHE
@@ -185,38 +185,30 @@ class TestPolicyBatchedPath:
             FloorplanEnv(get_circuit("bias_small")),
             FloorplanEnv(get_circuit("ota2")),
         ])
-        observations = vec.reset()
-        stacked = stack_observations(observations)
+        stacked = vec.reset()
         nodes_b, gembs_b = agent.ppo._encode_batch(
             stacked.graphs, stacked.block_indices
         )
-        actions, log_probs, values = agent.ppo.act(observations, deterministic=True)
-        for i, obs in enumerate(observations):
-            agent.ppo.invalidate_cache()  # force fresh (batched) encodes
-            node_i, gemb_i = agent.ppo._encode(obs)
-            assert np.array_equal(nodes_b[i], node_i)
+        actions, log_probs, values = agent.ppo.act(stacked, deterministic=True)
+        for i, graph in enumerate(stacked.graphs):
+            nodes_i, gemb_i = agent.encoder.encode_numpy(graph)
+            assert np.array_equal(nodes_b[i], nodes_i[stacked.block_indices[i]])
             assert np.array_equal(gembs_b[i], gemb_i)
-            a, lp, v = agent.ppo.act([obs], deterministic=True)
+            row = StackedObservations(
+                masks=stacked.masks[i:i + 1],
+                action_mask=stacked.action_mask[i:i + 1],
+                block_indices=stacked.block_indices[i:i + 1],
+                graphs=[graph],
+            )
+            a, lp, v = agent.ppo.act(row, deterministic=True)
             assert a[0] == actions[i]
             assert np.allclose(lp[0], log_probs[i], atol=1e-5)
             assert np.allclose(v[0], values[i], atol=1e-5)
 
-    def test_act_accepts_stacked_observations(self):
-        agent = FloorplanAgent(config=_tiny_config())
-        vec = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
-        observations = vec.reset()
-        a_list, lp_list, v_list = agent.ppo.act(observations, deterministic=True)
-        stacked = stack_observations(observations)
-        a_st, lp_st, v_st = agent.ppo.act(stacked, deterministic=True)
-        assert np.array_equal(a_list, a_st)
-        assert np.array_equal(lp_list, lp_st)
-        assert np.array_equal(v_list, v_st)
-
     def test_collect_returns_stacked_and_roundtrips(self):
         agent = FloorplanAgent(config=_tiny_config())
         vec = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
-        observations = vec.reset()
-        buffer, next_obs, _ = agent.ppo.collect(vec, observations)
+        buffer, next_obs, _ = agent.ppo.collect(vec, vec.reset())
         assert buffer.full
         assert len(next_obs) == 2
         # Stacked observations feed straight back into the next collect.
@@ -229,12 +221,16 @@ class TestPolicyBatchedPath:
         ppo.EMBEDDING_CACHE_SIZE = 2
         envs = [FloorplanEnv(get_circuit(name)) for name in CIRCUITS[:3]]
         observations = [env.reset() for env in envs]
-        ppo._encode(observations[0])
-        ppo._encode(observations[1])
+
+        def encode(obs):
+            ppo._encode_batch([obs.graph], [obs.block_index])
+
+        encode(observations[0])
+        encode(observations[1])
         # Touch the first entry so it is most recently used...
-        ppo._encode(observations[0])
+        encode(observations[0])
         # ...then a third graph must evict the second (the LRU one).
-        ppo._encode(observations[2])
+        encode(observations[2])
         keys = set(ppo._embedding_cache)
         assert observations[0].graph.uid in keys
         assert observations[1].graph.uid not in keys

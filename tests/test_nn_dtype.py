@@ -4,7 +4,6 @@ fused masked-categorical equivalence, and embedding-cache keying."""
 
 import multiprocessing
 import pickle
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -389,15 +388,12 @@ class TestEmbeddingCacheKeying:
         ppo = MaskedPPO(ActorCritic(rng=rng), RGCNEncoder(FEATURE_DIM, rng=rng))
         circuit = get_circuit("ota_small")
         g1, g2 = circuit_to_graph(circuit), circuit_to_graph(circuit)
-        obs1 = SimpleNamespace(graph=g1, block_index=0)
-        obs2 = SimpleNamespace(graph=g2, block_index=0)
-        n1, e1 = ppo._encode(obs1)
-        n2, e2 = ppo._encode(obs2)
+        n1, e1 = ppo._encode_batch([g1], [0])
+        n2, e2 = ppo._encode_batch([g2], [0])
         assert len(ppo._embedding_cache) == 2  # keyed per graph token, not content
         assert np.array_equal(n1, n2) and np.array_equal(e1, e2)
         # a pickled round trip of the same graph hits the existing entry
-        obs3 = SimpleNamespace(graph=pickle.loads(pickle.dumps(g1)), block_index=0)
-        ppo._encode(obs3)
+        ppo._encode_batch([pickle.loads(pickle.dumps(g1))], [0])
         assert len(ppo._embedding_cache) == 2
         ppo.invalidate_cache()
         assert not ppo._embedding_cache

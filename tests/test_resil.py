@@ -1,6 +1,5 @@
 """Fault-tolerance layer (repro.resil): policy/journal/chaos units plus
-executor crash paths, the bounded micro-batch queue, and vec-env crash
-detection.
+executor crash paths and the bounded micro-batch queue.
 
 Deterministic by construction: chaos decisions are pure hashes, backoff
 has no jitter, and every kill uses the sentinel ``KILL_EXIT_CODE`` so a
@@ -11,22 +10,17 @@ hang backstop.
 
 import asyncio
 import os
-import signal
 import time
 
-import numpy as np
 import pytest
 
-from repro.circuits import get_circuit
 from repro.engine import ArtifactCache, Executor, TaskSpec, register_task
-from repro.floorplan import ProcessVecEnv
 from repro.resil import (
     PoolRebuildLimitError,
     QueueFullError,
     RetryPolicy,
     SweepJournal,
     TaskTimeoutError,
-    WorkerCrashedError,
     call_with_retries,
     run_with_timeout,
 )
@@ -481,56 +475,3 @@ class TestMicroBatcherBound:
     def test_maxsize_validated(self):
         with pytest.raises(ValueError):
             MicroBatcher(lambda items: items, maxsize=0)
-
-
-# ---------------------------------------------------------------------------
-# Vec-env crash detection & respawn
-# ---------------------------------------------------------------------------
-
-def _valid_actions(observations):
-    return [int(np.nonzero(obs.action_mask)[0][0]) for obs in observations]
-
-
-class TestVecEnvCrash:
-    def test_killed_worker_detected_not_hung(self):
-        """Regression: a dead worker used to hang ``conn.recv()`` forever;
-        now it raises a typed error naming the worker, promptly."""
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit, circuit]) as venv:
-            observations = venv.reset()
-            os.kill(venv._procs[1].pid, signal.SIGKILL)
-            venv._procs[1].join(timeout=10.0)
-            began = time.perf_counter()
-            with pytest.raises(WorkerCrashedError) as info:
-                venv.step(_valid_actions(observations))
-            assert time.perf_counter() - began < 30.0
-            assert info.value.index == 1
-            assert "worker 1" in str(info.value)
-
-    def test_respawn_turns_crash_into_terminal_step(self):
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit, circuit], respawn=True) as venv:
-            observations = venv.reset()
-            os.kill(venv._procs[0].pid, signal.SIGKILL)
-            venv._procs[0].join(timeout=10.0)
-            observations, rewards, dones, infos = venv.step(
-                _valid_actions(observations))
-            assert bool(dones[0]) is True
-            assert infos[0]["worker_crashed"] is True
-            assert infos[0]["worker_index"] == 0
-            assert venv._procs[0].is_alive()
-            # The fleet keeps stepping after the respawn.
-            observations, _, _, infos = venv.step(
-                _valid_actions(observations))
-            assert "worker_crashed" not in infos[0]
-
-    def test_step_timeout_benign_on_healthy_workers(self):
-        circuit = get_circuit("ota_small")
-        with ProcessVecEnv([circuit], step_timeout=30.0) as venv:
-            observations = venv.reset()
-            observations, _, _, _ = venv.step(_valid_actions(observations))
-            assert len(observations) == 1
-
-    def test_step_timeout_validated(self):
-        with pytest.raises(ValueError):
-            ProcessVecEnv([get_circuit("ota_small")], step_timeout=0.0)

@@ -76,6 +76,30 @@ class TestPPOLoop:
         )
         assert changed
 
+    def test_episode_returns_do_not_leak_across_vecenvs(self):
+        """Regression: partial returns of vec-env A used to be added to the
+        first episodes of a freshly reset vec-env B of the same width."""
+        agent = FloorplanAgent(config=tiny_config())
+        vec_a = VecEnv([FloorplanEnv(get_circuit("bias1")) for _ in range(2)])
+        buffer_a, _, episodes_a = agent.ppo.collect(
+            vec_a, vec_a.reset(), rollout_steps=5
+        )
+        assert episodes_a == 0  # A stops mid-episode, returns still open
+        assert np.all(buffer_a.rewards.sum(axis=0) != 0.0)
+
+        vec_b = VecEnv([FloorplanEnv(get_circuit("ota_small")) for _ in range(2)])
+        first = {}
+        buffer_b, _, _ = agent.ppo.collect(
+            vec_b, vec_b.reset(), rollout_steps=8,
+            on_episode_end=lambda i, ret, info: first.setdefault(i, ret),
+        )
+        assert sorted(first) == [0, 1]
+        for i, reported in first.items():
+            end = int(np.argmax(buffer_b.dones[:, i]))
+            expected = float(buffer_b.rewards[: end + 1, i].sum())
+            assert reported == pytest.approx(expected, rel=1e-5)
+            assert reported in agent.ppo._episode_returns
+
 
 class TestHCL:
     def test_train_hcl_advances_through_circuits(self):

@@ -17,6 +17,7 @@ import pytest
 from repro.circuits import get_circuit
 from repro.config import TrainConfig
 from repro.engine import TaskSpec
+from repro.floorplan import stack_observations
 from repro.rl import FloorplanAgent
 from repro.serve import (
     MicroBatcher,
@@ -240,7 +241,7 @@ class TestPerRowAct:
         obs = [env_a.reset(), env_b.reset(), env_a.reset()]
 
         batched, _, _ = agent.ppo.act(
-            obs,
+            stack_observations(obs),
             deterministic=np.array([False, True, False]),
             rng=[np.random.default_rng(7), np.random.default_rng(0),
                  np.random.default_rng(11)],
@@ -248,16 +249,17 @@ class TestPerRowAct:
         singles = []
         for o, det, seed in zip(obs, (False, True, False), (7, 0, 11)):
             actions, _, _ = agent.ppo.act(
-                [o], deterministic=det, rng=np.random.default_rng(seed))
+                stack_observations([o]), deterministic=det,
+                rng=np.random.default_rng(seed))
             singles.append(int(actions[0]))
         assert [int(a) for a in batched] == singles
 
     def test_scalar_call_unchanged(self):
         agent = small_agent()
         env = agent_fixture_env("ota_small")
-        obs = env.reset()
-        a, _, _ = agent.ppo.act([obs], deterministic=True)
-        b, _, _ = agent.ppo.act([obs], deterministic=True)
+        obs = stack_observations([env.reset()])
+        a, _, _ = agent.ppo.act(obs, deterministic=True)
+        b, _, _ = agent.ppo.act(obs, deterministic=True)
         assert int(a[0]) == int(b[0])
 
 
