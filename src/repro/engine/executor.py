@@ -32,6 +32,7 @@ from ..obs import (
     drain_worker,
     get_logger,
     merge_worker,
+    set_gauge,
     trace_context,
 )
 from ..resil import (
@@ -41,6 +42,7 @@ from ..resil import (
     call_with_retries,
 )
 from ..resil import chaos
+from .blas import set_blas_threads
 from .cache import ArtifactCache
 from .task import TaskResult, TaskSpec, run_task
 
@@ -59,6 +61,15 @@ def default_start_method() -> str:
 _WORKER_CONTEXT: Any = None
 
 
+def cap_blas_threads(n: int) -> Optional[int]:
+    """Cap this process's BLAS pool at ``n`` threads; returns the previous
+    count.  Records the ``blas.threads`` gauge when telemetry is on."""
+    previous = set_blas_threads(n)
+    if previous is not None:
+        set_gauge("blas.threads", max(1, n))
+    return previous
+
+
 def _init_worker(
     context: Any, obs_enabled: bool = False, trace_ctx: Any = None
 ) -> None:
@@ -73,6 +84,10 @@ def _init_worker(
         OBS.registry.reset()
         OBS.tracer.reset()
         adopt_trace(trace_ctx)
+    # Workers run beside each other (and their parent) on the same cores:
+    # one BLAS thread each, or idle OpenBLAS threads busy-wait on cores
+    # the other workers need.
+    cap_blas_threads(1)
     # Populate the task registry in spawned workers up front.
     from . import tasks  # noqa: F401
 

@@ -88,8 +88,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         send(bias, g.sum(axis=(0, 2)))
         gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)  # (C_out, F)
         send(weight, gw.reshape(weight.shape))
-        gcols = np.matmul(w_mat.T, g)  # (F, C_out) @ (N, C_out, L) -> (N, F, L)
-        send(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding))
+        if x.requires_grad:
+            # Inputs that take no gradient (the first extractor conv's
+            # mask planes) skip the input-grad GEMM and fold.
+            gcols = np.matmul(w_mat.T, g)  # (F, C_out) @ (N, C_out, L) -> (N, F, L)
+            send(x, _col2im(gcols, x.data.shape, kh, kw, stride, padding))
 
     return Tensor._make(out_data, (x, weight, bias), backward)
 

@@ -8,12 +8,19 @@ be propagated back with :meth:`Tensor.backward`.
 
 Design notes
 ------------
-* Gradients are accumulated into ``Tensor.grad`` (a plain ndarray), exactly
-  like PyTorch's leaf semantics.
+* Gradients are accumulated into ``Tensor.grad`` (a plain ndarray) of
+  *leaf* tensors only, like PyTorch's leaf semantics: an intermediate
+  result's ``.grad`` stays ``None``.
 * Broadcasting is fully supported: every binary op un-broadcasts its
   upstream gradient back to each operand's shape.
 * The graph is a DAG of :class:`Tensor` nodes; ``backward`` runs a
   topological sort and calls each node's locally stored backward closure.
+* ``backward`` frees the graph as it consumes it: each processed node drops
+  its parents and its closure (and with it the activations and im2col
+  buffers the closure holds), so a minibatch's graph is released by
+  reference counting as soon as its loss is dropped, not when the cyclic
+  GC next runs.  A second ``backward`` through the same graph raises; a
+  caller that needs one recomputes the forward.
 * Inference has a fast path: inside :func:`no_grad` no parents or backward
   closures are recorded at all, so forward passes are pure numpy.
 * Compute dtype is governed by a process-wide policy (``REPRO_NN_DTYPE``,
@@ -158,6 +165,13 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _consumed_backward(grad, send) -> None:
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() already "
+        "freed; recompute the forward pass to backpropagate again"
+    )
+
+
 class Tensor:
     """A numpy-backed tensor that records operations for autograd."""
 
@@ -225,8 +239,8 @@ class Tensor:
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
+        if not self.requires_grad or self._backward is not None:
+            return  # only leaves keep a gradient
         if self.grad is None:
             self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
         else:
@@ -266,26 +280,30 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(order):
             g = grads.pop(id(node), None)
-            if g is None or node._backward is None:
+            backward = node._backward
+            if backward is None:
                 continue
-            node._backward_with_capture(g, grads)
+            # Free the graph as it is consumed (see the design notes).
+            node._backward, node._parents = _consumed_backward, ()
+            if g is not None:
+                node._run_backward(backward, g, grads)
 
-    def _backward_with_capture(self, grad: np.ndarray, grads: dict) -> None:
-        """Run this node's backward closure, capturing parent contributions."""
+    @staticmethod
+    def _run_backward(backward: Callable, grad: np.ndarray, grads: dict) -> None:
+        """Run one backward closure, routing its parent contributions."""
         contributions: list[Tuple[Tensor, np.ndarray]] = []
 
         def send(parent: "Tensor", g: np.ndarray) -> None:
             if parent.requires_grad:
                 contributions.append((parent, g))
 
-        self._backward(grad, send)  # type: ignore[misc]
+        backward(grad, send)
         for parent, g in contributions:
             parent._accumulate(g)
             key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = np.array(g, copy=True)
+            # No closure writes into its incoming gradient, so a first
+            # contribution is stored as is; sums allocate a fresh array.
+            grads[key] = grads[key] + g if key in grads else g
 
     # ------------------------------------------------------------------
     # Binary arithmetic

@@ -65,12 +65,22 @@ def git_sha(cwd: Optional[str] = None) -> Optional[str]:
 
 
 def host_fingerprint() -> Dict[str, Any]:
-    """Coarse host identity: perf numbers only compare within one class."""
+    """Coarse host identity: perf numbers only compare within one class.
+
+    The BLAS library and this process's BLAS thread count are part of it,
+    so rows recorded under different thread policies are told apart.
+    """
+    # Imported here: repro.engine imports repro.obs at module load.
+    from ..engine.blas import blas_library, blas_threads
+
+    library = blas_library()
     return {
         "node": platform.node(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
+        "blas": None if library is None else os.path.basename(library),
+        "blas_threads": blas_threads(),
     }
 
 

@@ -20,7 +20,10 @@ order of preference:
    (``tests/test_determinism.py::TestServingDeterminism``).
 4. **Sharded cold solves** — baseline methods (SA/GA/...) are full
    CPU-bound searches; they run on the engine's process backend through
-   a persistent pool so the event loop never blocks.
+   a persistent pool so the event loop never blocks.  Pool workers run
+   one BLAS thread each, and while the pool is up the server's own
+   policy forwards use only the cores the workers leave free (see
+   :mod:`repro.engine.blas`).
 
 Telemetry goes through ``repro.obs`` shapes only: a per-server
 always-on :class:`MetricsRegistry` (the ``stats`` op and the load
@@ -48,7 +51,8 @@ from ..circuits.library import available_circuits, get_circuit
 from ..circuits.netlist import Circuit
 from ..config import TrainConfig
 from ..engine.cache import ArtifactCache, floorplan_result_to_dict
-from ..engine.executor import _init_worker, _process_run, default_start_method
+from ..engine.executor import (_init_worker, _process_run, cap_blas_threads,
+                               default_start_method)
 from ..engine.task import TaskResult, TaskSpec, run_task
 from ..engine.tasks import agent_fingerprint
 from ..floorplan.env import FloorplanEnv, Observation
@@ -166,6 +170,9 @@ class SolveServer:
         self._pool: Optional[concurrent.futures.Executor] = None
         #: Crashed-pool restarts consumed so far (capped by config).
         self._pool_restarts = 0
+        #: BLAS thread count before the pool capped this process; restored
+        #: by close().
+        self._blas_restore: Optional[int] = None
         #: Solve requests currently being processed (admission control).
         self._admitted = 0
         #: Live compute tasks, so close() can drain them gracefully.
@@ -259,6 +266,9 @@ class SolveServer:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+        if self._blas_restore is not None:
+            cap_blas_threads(self._blas_restore)
+            self._blas_restore = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -670,6 +680,11 @@ class SolveServer:
         if self._pool is None:
             workers = self.config.workers or os.cpu_count() or 1
             if self.config.backend == "process":
+                # Policy forwards here run beside `workers` busy baseline
+                # workers (one BLAS thread each): leave them their cores.
+                previous = cap_blas_threads(max(1, (os.cpu_count() or 1) - workers))
+                if self._blas_restore is None:
+                    self._blas_restore = previous
                 ctx = multiprocessing.get_context(default_start_method())
                 self._pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers, mp_context=ctx,

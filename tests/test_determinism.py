@@ -202,6 +202,44 @@ class TestServingDeterminism:
             self._assert_payload_matches(coalesced[seed]["result"],
                                          references[seed])
 
+    def test_process_backend_capped_blas_matches_offline(self):
+        """Served RL answers do not depend on the BLAS thread count: the
+        process-backend server caps its own BLAS once its pool is up, the
+        offline reference runs uncapped, and the results agree bit for
+        bit."""
+        import os
+
+        from repro.engine.blas import blas_threads
+        from repro.engine.tasks import solve_rl_task
+        from repro.serve import ServeConfig, ServerThread, SolveClient
+
+        uncapped = blas_threads()
+        references = {
+            seed: solve_rl_task(
+                {"circuit": "bias_small", "deterministic": False,
+                 "attempts": 8, "agent": "fp"},
+                seed, {"agent": _small_agent()},
+            )
+            for seed in self.SEEDS
+        }
+        config = ServeConfig(max_batch=4, max_wait_ms=3.0, backend="process",
+                             workers=1, cache=False)
+        served = {}
+        with ServerThread(config, agent=_small_agent()) as handle:
+            with SolveClient(handle.address) as client:
+                client.solve("ota_small", method="sa", seed=0,
+                             config={"moves_per_temperature": 4})
+                capped = blas_threads()
+                for seed in self.SEEDS:
+                    served[seed] = client.solve(
+                        "bias_small", seed=seed, deterministic=False)
+        if uncapped is not None:
+            assert capped == max(1, (os.cpu_count() or 1) - 1)
+            assert blas_threads() == uncapped
+        for seed in self.SEEDS:
+            self._assert_payload_matches(served[seed]["result"],
+                                         references[seed])
+
     def test_warm_cache_replay_bit_identical(self, tmp_path):
         cold = self._served(max_batch=4, concurrent=True, cache_dir=tmp_path)
         warm = self._served(max_batch=1, concurrent=False, cache_dir=tmp_path)

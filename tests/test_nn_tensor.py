@@ -1,5 +1,8 @@
 """Unit and property tests for the autograd engine (repro.nn.tensor)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +240,58 @@ class TestUnbroadcast:
         out = _unbroadcast(grad, (2,))
         assert out.shape == (2,)
         assert np.allclose(out, 12.0)
+
+
+class TestGraphFreeing:
+    """``backward`` releases the graph it consumed: activations die by
+    reference counting alone, a second pass raises, non-leaves keep no
+    ``.grad``."""
+
+    def test_activation_freed_without_cyclic_gc(self):
+        from repro.rl.distributions import MaskedCategorical
+
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 4)))
+        mask = np.ones((3, 5), dtype=bool)
+        gc.disable()
+        try:
+            hidden = (x @ w).tanh()
+            probe = weakref.ref(hidden.data)
+            # The distribution's fused log-prob node holds a bound method
+            # of the distribution, which holds the node: a reference cycle
+            # that reaches the whole graph below it.
+            dist = MaskedCategorical(hidden, mask)
+            loss = -dist.log_prob(np.array([0, 2, 4])).sum()
+            del hidden
+            loss.backward()
+            del loss, dist
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert w.grad is not None
+
+    def test_second_backward_raises(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        loss = (a * a).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="recompute the forward"):
+            loss.backward()
+
+    def test_shared_subgraph_freed_by_first_backward(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        shared = a.exp()
+        shared.sum().backward()
+        with pytest.raises(RuntimeError):
+            (shared * 2.0).sum().backward()
+
+    def test_non_leaf_grad_stays_none(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        hidden = a * 3.0
+        loss = hidden.sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        assert np.allclose(a.grad, [3.0, 3.0])
 
 
 class TestEndToEndGradcheck:
