@@ -69,18 +69,12 @@ _BASELINES = {
 def _executor_from_args(args, default_cache: bool = False):
     """Build an :class:`~repro.engine.executor.Executor` from engine flags."""
     from .engine import ArtifactCache, Executor
-    from .resil import RetryPolicy
 
     use_cache = getattr(args, "cache", None)
     if use_cache is None:
         use_cache = default_cache
     cache = ArtifactCache(root=args.cache_dir) if use_cache else None
-    policy = RetryPolicy(
-        retries=getattr(args, "task_retries", None) or 0,
-        timeout=getattr(args, "task_timeout", None),
-    )
-    return Executor(backend=args.backend, workers=args.workers, cache=cache,
-                    policy=policy)
+    return Executor(backend=args.backend, workers=args.workers, cache=cache)
 
 
 def _print_engine_stats(executor) -> None:
@@ -224,16 +218,8 @@ def cmd_sweep(args) -> int:
         config=_parse_overrides(args.set or []),
         unconstrained=args.unconstrained,
     )
-    journal_path = args.journal
-    if args.resume and journal_path is None:
-        journal_path = "results/sweep_journal.jsonl"
     executor = _executor_from_args(args, default_cache=True)
-    if args.resume and executor.cache is None:
-        print("sweep --resume needs the artifact cache (drop --no-cache)",
-              file=sys.stderr)
-        raise SystemExit(2)
-    result = run_sweep(spec, executor=executor,
-                       journal_path=journal_path, resume=args.resume)
+    result = run_sweep(spec, executor=executor)
     print(result.table())
     print(f"\n{result.summary()}")
     _print_engine_stats(executor)
@@ -379,14 +365,6 @@ def _engine_flags() -> argparse.ArgumentParser:
                             "(--no-cache to always recompute)")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache root (default ~/.cache/repro or $REPRO_CACHE_DIR)")
-    group.add_argument("--task-timeout", type=float, default=None, metavar="SEC",
-                       help="per-task wall-clock deadline (default: none); a "
-                            "blown deadline on the process backend costs a "
-                            "pool rebuild")
-    group.add_argument("--task-retries", type=_int_at_least(0), default=0,
-                       metavar="N",
-                       help="extra attempts per failed task with deterministic "
-                            "exponential backoff (default 0: fail fast)")
     return parent
 
 
@@ -474,13 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable), e.g. --set moves_per_temperature=20")
     p.add_argument("--unconstrained", action="store_true",
                    help="drop placement constraints (as in Table I)")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="append completed cells to a JSONL journal "
-                        "(enables crash-resumable sweeps)")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells already journaled as complete (default "
-                        "journal: results/sweep_journal.jsonl); requires "
-                        "the artifact cache")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("svg", parents=[obs_flags],

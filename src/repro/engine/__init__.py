@@ -27,7 +27,7 @@ See :mod:`repro.engine.tasks` for the builtin task functions and
 """
 
 from .cache import ArtifactCache, default_cache_root
-from .executor import BACKENDS, Executor, ExecutorStats
+from .executor import BACKENDS, Executor, ExecutorStats, PoolRebuildLimitError
 from .sweep import SweepCell, SweepResult, SweepSpec, run_sweep
 from .task import (
     CACHE_VERSION,
@@ -46,6 +46,7 @@ __all__ = [
     "CACHE_VERSION",
     "Executor",
     "ExecutorStats",
+    "PoolRebuildLimitError",
     "SweepCell",
     "SweepResult",
     "SweepSpec",

@@ -35,7 +35,6 @@ import numpy as np
 from ..baselines.common import FloorplanResult, PlacedRect
 from ..obs import OBS
 from ..obs.metrics import MetricsRegistry
-from ..resil import chaos
 from .task import TaskResult, TaskSpec, canonical_json
 
 DEFAULT_CACHE_DIR = "~/.cache/repro"
@@ -164,9 +163,6 @@ class ArtifactCache:
     def _blob_path(self, key: str, fmt: str) -> Path:
         return self.root / key[:2] / f"{key}.{'npz' if fmt == 'npz' else 'pkl'}"
 
-    def contains(self, spec: TaskSpec) -> bool:
-        return self._meta_path(spec.content_hash()).exists()
-
     # -- access --------------------------------------------------------
     def get(self, spec: TaskSpec) -> Optional[TaskResult]:
         """Load the artifact for ``spec``, or ``None`` on a miss.
@@ -179,10 +175,6 @@ class ArtifactCache:
         """
         key = spec.content_hash()
         meta_path = self._meta_path(key)
-        if chaos.enabled():
-            # Fault-injection point: trash the meta file just before the
-            # read, so the evict-and-recompute path below is what runs.
-            chaos.corrupt_cache_entry(key, meta_path)
         try:
             with open(meta_path) as handle:
                 meta = json.load(handle)

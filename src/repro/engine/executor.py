@@ -23,7 +23,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..obs import (
@@ -35,13 +35,6 @@ from ..obs import (
     set_gauge,
     trace_context,
 )
-from ..resil import (
-    PoolRebuildLimitError,
-    RetryPolicy,
-    TaskTimeoutError,
-    call_with_retries,
-)
-from ..resil import chaos
 from .blas import set_blas_threads
 from .cache import ArtifactCache
 from .task import TaskResult, TaskSpec, run_task
@@ -124,8 +117,7 @@ class ExecutorStats:
     computed: int = 0
     wall_seconds: float = 0.0
     task_seconds: float = 0.0   # sum of per-task compute time
-    retries: int = 0            # attempts beyond the first, all causes
-    timeouts: int = 0           # attempts that blew their deadline
+    retries: int = 0            # tasks resubmitted after a pool rebuild
     pool_rebuilds: int = 0      # worker pools torn down and rebuilt
 
     def summary(self) -> str:
@@ -134,14 +126,22 @@ class ExecutorStats:
             f"{self.cache_hits} cache hits, wall {self.wall_seconds:.2f} s, "
             f"cpu {self.task_seconds:.2f} s"
         )
-        faults = []
-        if self.retries:
-            faults.append(f"{self.retries} retries")
-        if self.timeouts:
-            faults.append(f"{self.timeouts} timeouts")
         if self.pool_rebuilds:
-            faults.append(f"{self.pool_rebuilds} pool rebuilds")
-        return base + (f" ({', '.join(faults)})" if faults else "")
+            base += (f" ({self.pool_rebuilds} pool rebuilds, "
+                     f"{self.retries} tasks resubmitted)")
+        return base
+
+
+class PoolRebuildLimitError(RuntimeError):
+    """The executor's worker pool crashed more times than allowed."""
+
+    def __init__(self, rebuilds: int, limit: int):
+        self.rebuilds = rebuilds
+        self.limit = limit
+        super().__init__(
+            f"process pool crashed {rebuilds} times "
+            f"(max_pool_rebuilds={limit}); giving up"
+        )
 
 
 class Executor:
@@ -163,18 +163,11 @@ class Executor:
     progress:
         Optional callback invoked in the parent process as each task
         finishes (cache hits included).
-    policy:
-        Default :class:`~repro.resil.RetryPolicy` applied to every task
-        (per-spec ``timeout``/``retries`` override it).  The default —
-        no retries, no deadline — reproduces pre-fault-tolerance
-        behavior exactly; backoff is deterministic (no RNG), so enabling
-        retries cannot perturb seeded results.
     max_pool_rebuilds:
-        How many times a crashed worker pool (``BrokenProcessPool``, or
-        a deadline-blown worker that had to be killed) is rebuilt before
-        :class:`~repro.resil.PoolRebuildLimitError` is raised.  Rebuilds
-        resubmit only unfinished tasks and do **not** consume per-task
-        retries — a pool crash cannot be attributed to one task.
+        How many times a crashed worker pool (``BrokenProcessPool`` — an
+        OOM-killed or segfaulted worker) is rebuilt before
+        :class:`PoolRebuildLimitError` is raised.  A rebuild resubmits
+        only the unfinished tasks.
     """
 
     def __init__(
@@ -183,7 +176,6 @@ class Executor:
         workers: Optional[int] = None,
         cache: Optional[ArtifactCache] = None,
         progress: Optional[ProgressFn] = None,
-        policy: Optional[RetryPolicy] = None,
         max_pool_rebuilds: int = 5,
     ):
         if backend not in BACKENDS:
@@ -194,29 +186,10 @@ class Executor:
             raise ValueError("workers must be >= 1")
         self.cache = cache
         self.progress = progress
-        self.policy = policy or RetryPolicy()
         if max_pool_rebuilds < 0:
             raise ValueError("max_pool_rebuilds must be >= 0")
         self.max_pool_rebuilds = max_pool_rebuilds
         self.stats = ExecutorStats()
-
-    # -- fault-tolerance plumbing --------------------------------------
-    def _policy_for(self, spec: TaskSpec) -> RetryPolicy:
-        return self.policy.merged(timeout=spec.timeout, retries=spec.retries)
-
-    def _note_timeout(self) -> None:
-        self.stats.timeouts += 1
-        if OBS.enabled:
-            OBS.registry.inc("resil.timeouts")
-
-    def _note_retry(self, retry_number: int, exc: BaseException) -> None:
-        self.stats.retries += 1
-        if isinstance(exc, TaskTimeoutError):
-            self._note_timeout()
-        if OBS.enabled:
-            OBS.registry.inc("resil.retries")
-        logger.warning("retry %d after %s: %s", retry_number,
-                       type(exc).__name__, exc)
 
     # ------------------------------------------------------------------
     def map_tasks(
@@ -282,17 +255,10 @@ class Executor:
             if self.progress is not None:
                 self.progress(done, len(specs), result)
 
-        # The single-pending shortcut must not apply to the process
-        # backend under chaos: an injected kill_worker would then take
-        # out the coordinating process instead of a pool worker.
-        inline = self.backend == "serial" or (
-            len(pending) <= 1
-            and not (self.backend == "process" and chaos.enabled())
-        )
-        if inline:
+        if self.backend == "serial" or len(pending) <= 1:
             for i in pending:
                 submitted[i] = time.perf_counter()
-                finish(i, self._run_serial(specs[i], context))
+                finish(i, run_task(specs[i], context))
         else:
             self._run_pool(specs, pending, context, finish, submitted,
                            telemetry)
@@ -308,23 +274,6 @@ class Executor:
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _run_serial(self, spec: TaskSpec, context: Any) -> TaskResult:
-        """One task in-process, under its merged retry/timeout policy."""
-        policy = self._policy_for(spec)
-        if policy.is_default:
-            # Exactly the pre-fault-tolerance call — no wrapper thread,
-            # no policy machinery on the default path.
-            return run_task(spec, context)
-        try:
-            return call_with_retries(
-                lambda: run_task(spec, context), policy,
-                label=spec.label, on_retry=self._note_retry,
-            )
-        except TaskTimeoutError:
-            self._note_timeout()  # the final (unretried) timed-out attempt
-            raise
-
-    # ------------------------------------------------------------------
     def _make_pool(self, context: Any, telemetry: bool, n_pending: int):
         if self.backend == "thread":
             return concurrent.futures.ThreadPoolExecutor(self.workers)
@@ -335,11 +284,13 @@ class Executor:
             initargs=(context, telemetry, trace_context()),
         )
 
-    def _teardown_pool(self, pool, kill: bool = False) -> None:
-        """Shut a pool down without waiting; optionally kill stuck workers."""
-        if kill and isinstance(pool, concurrent.futures.ProcessPoolExecutor):
-            # A worker past its deadline never returns; terminate so the
-            # executor's shutdown doesn't join a process that won't exit.
+    def _teardown_pool(self, pool) -> None:
+        """Shut a pool down without waiting, killing workers still running.
+
+        After a task error or a crash, sibling workers may be mid-task;
+        terminate them so shutdown never joins a process that is busy.
+        """
+        if isinstance(pool, concurrent.futures.ProcessPoolExecutor):
             for proc in list((getattr(pool, "_processes", None) or {}).values()):
                 try:
                     proc.terminate()
@@ -359,146 +310,61 @@ class Executor:
         submitted: Dict[int, float],
         telemetry: bool,
     ) -> None:
-        """Pool backends with retries, deadlines, and crash recovery.
+        """Pool backends: submit every task, collect them as they finish.
 
-        Replaces the plain submit/as_completed loop with a coordinator
-        that (a) retries failed attempts under each task's merged
-        policy, with deterministic backoff served by resubmit-not-before
-        timestamps instead of blocking sleeps; (b) enforces per-task
-        wall deadlines from submission time; and (c) survives a broken
-        pool (crashed worker, or a deadline-blown worker that had to be
-        killed) by rebuilding it and resubmitting only unfinished tasks
-        — without consuming their retry budgets, since a pool crash has
-        no attributable culprit.  ``finish`` still delivers results into
-        their submission-order slots, so ordering is unaffected.
+        A broken pool (a worker died) is rebuilt and only the unfinished
+        tasks are resubmitted, up to ``max_pool_rebuilds`` times.  The
+        first task that raises tears the pool down and propagates its own
+        exception.  ``finish`` delivers results into their
+        submission-order slots, so ordering is unaffected.
         """
         is_process = self.backend == "process"
-        policies = {i: self._policy_for(specs[i]) for i in pending}
-        attempts = {i: 0 for i in pending}    # failed attempts consumed
-        ready_at = {i: 0.0 for i in pending}  # backoff: no resubmit before
-        unfinished = set(pending)
-        pool = self._make_pool(context, telemetry, len(pending))
-        inflight: Dict[concurrent.futures.Future, int] = {}
-        deadlines: Dict[concurrent.futures.Future, Optional[float]] = {}
+        unfinished = list(pending)
         rebuilds = 0
-        failure: Optional[BaseException] = None
-
-        def submit_one(index: int) -> None:
-            spec = specs[index]
-            flow_id = (OBS.tracer.flow_start("engine.task")
-                       if telemetry and is_process else None)
-            now = time.perf_counter()
-            if is_process:
-                future = pool.submit(_process_run, spec, flow_id)
-            else:
-                future = pool.submit(run_task, spec, context)
-            submitted[index] = now
-            inflight[future] = index
-            timeout = policies[index].timeout
-            deadlines[future] = (now + timeout) if timeout is not None else None
-
-        try:
-            while unfinished and failure is None:
-                broken = False
-                now = time.perf_counter()
-                for i in sorted(unfinished - set(inflight.values())):
-                    if ready_at[i] > now:
-                        continue  # still backing off
-                    try:
-                        submit_one(i)
-                    except concurrent.futures.BrokenExecutor:
-                        broken = True
-                        break
-
-                if not broken:
-                    # Block until a completion, the nearest deadline, or
-                    # the nearest backoff expiry — whichever is first.
-                    wake_at: Optional[float] = None
-                    for future, deadline in deadlines.items():
-                        if deadline is not None:
-                            wake_at = (deadline if wake_at is None
-                                       else min(wake_at, deadline))
-                    for i in unfinished - set(inflight.values()):
-                        wake_at = (ready_at[i] if wake_at is None
-                                   else min(wake_at, ready_at[i]))
-                    timeout = (None if wake_at is None
-                               else max(0.0, wake_at - time.perf_counter()))
-                    if inflight:
-                        done, _ = concurrent.futures.wait(
-                            set(inflight), timeout=timeout,
-                            return_when=concurrent.futures.FIRST_COMPLETED)
+        while True:
+            pool = self._make_pool(context, telemetry, len(unfinished))
+            inflight: Dict[concurrent.futures.Future, int] = {}
+            finished = set()
+            broken = False
+            try:
+                for i in unfinished:
+                    submitted[i] = time.perf_counter()
+                    if is_process:
+                        flow_id = (OBS.tracer.flow_start("engine.task")
+                                   if telemetry else None)
+                        future = pool.submit(_process_run, specs[i], flow_id)
                     else:
-                        done = set()
-                        if timeout:
-                            time.sleep(min(timeout, 0.05))
-
+                        future = pool.submit(run_task, specs[i], context)
+                    inflight[future] = i
+                while inflight:
+                    done, _ = concurrent.futures.wait(
+                        inflight, return_when=concurrent.futures.FIRST_COMPLETED)
                     for future in done:
                         i = inflight.pop(future)
-                        deadlines.pop(future, None)
                         try:
                             result = future.result()
-                        except (concurrent.futures.BrokenExecutor,
-                                concurrent.futures.CancelledError):
-                            # The pool died under this task — resubmit
-                            # after rebuild, no retry consumed.
-                            broken = True
-                        except Exception as exc:  # the task's own failure
-                            attempts[i] += 1
-                            if attempts[i] > policies[i].retries:
-                                failure = exc
-                            else:
-                                self._note_retry(attempts[i], exc)
-                                ready_at[i] = (time.perf_counter()
-                                               + policies[i].delay(attempts[i]))
+                        except concurrent.futures.BrokenExecutor:
+                            broken = True  # the pool died under this task
                         else:
-                            unfinished.discard(i)
                             finish(i, result)
-
-                    # Deadlines blown by still-running futures.
-                    now = time.perf_counter()
-                    for future, deadline in list(deadlines.items()):
-                        if deadline is None or now < deadline or future.done():
-                            continue
-                        i = inflight.pop(future)
-                        deadlines.pop(future)
-                        future.cancel()
-                        attempts[i] += 1
-                        self._note_timeout()
-                        # The worker under this future is stuck; the only
-                        # way to reclaim the slot is a pool rebuild.
-                        broken = True
-                        if attempts[i] > policies[i].retries:
-                            failure = TaskTimeoutError(
-                                specs[i].label, policies[i].timeout or 0.0,
-                                attempts=attempts[i])
-                        else:
-                            self.stats.retries += 1
-                            if telemetry:
-                                OBS.registry.inc("resil.retries")
-                            ready_at[i] = now + policies[i].delay(attempts[i])
-
-                if broken and failure is None and unfinished:
-                    rebuilds += 1
-                    self.stats.pool_rebuilds += 1
-                    if telemetry:
-                        OBS.registry.inc("engine.pool_rebuilds")
-                    if rebuilds > self.max_pool_rebuilds:
-                        failure = PoolRebuildLimitError(
-                            rebuilds, self.max_pool_rebuilds)
-                        break
-                    logger.warning(
-                        "worker pool broke with %d unfinished tasks; "
-                        "rebuilding (%d/%d)",
-                        len(unfinished), rebuilds, self.max_pool_rebuilds)
-                    self._teardown_pool(pool, kill=True)
-                    inflight.clear()
-                    deadlines.clear()
-                    pool = self._make_pool(context, telemetry,
-                                           len(unfinished))
-        finally:
-            if failure is None and not inflight:
+                            finished.add(i)
+            except concurrent.futures.BrokenExecutor:
+                broken = True  # the pool died while tasks were submitted
+            except BaseException:
+                self._teardown_pool(pool)
+                raise
+            if not broken:
                 pool.shutdown(wait=True)
-            else:
-                self._teardown_pool(pool, kill=True)
-        if failure is not None:
-            raise failure
+                return
+            self._teardown_pool(pool)
+            rebuilds += 1
+            self.stats.pool_rebuilds += 1
+            if telemetry:
+                OBS.registry.inc("engine.pool_rebuilds")
+            if rebuilds > self.max_pool_rebuilds:
+                raise PoolRebuildLimitError(rebuilds, self.max_pool_rebuilds)
+            unfinished = [i for i in unfinished if i not in finished]
+            self.stats.retries += len(unfinished)
+            logger.warning(
+                "worker pool broke with %d unfinished tasks; rebuilding (%d/%d)",
+                len(unfinished), rebuilds, self.max_pool_rebuilds)

@@ -10,18 +10,13 @@ the same shape as the Table I harness, but for arbitrary grids
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..baselines.common import FloorplanResult
 from ..experiments.stats import iqm_and_std
-from ..obs import OBS, get_logger
-from ..resil import SweepJournal
 from .executor import Executor
-from .task import TaskResult, TaskSpec, canonical_json
-
-logger = get_logger("engine.sweep")
+from .task import TaskResult, TaskSpec
 
 
 @dataclass
@@ -49,22 +44,6 @@ class SweepSpec:
         config.update(self.per_method.get(method, {}))
         config.pop("seed", None)  # the spec seed wins
         return config
-
-    def content_hash(self) -> str:
-        """Stable digest of the whole grid definition.
-
-        Stamped into journal records so ``--resume`` ignores completions
-        from a *different* grid written to the same journal path.
-        """
-        payload = canonical_json({
-            "methods": list(self.methods),
-            "circuits": list(self.circuits),
-            "seeds": [int(s) for s in self.seeds],
-            "config": dict(self.config),
-            "per_method": {k: dict(v) for k, v in self.per_method.items()},
-            "unconstrained": self.unconstrained,
-        })
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def expand(self) -> List[TaskSpec]:
         """One task per grid cell, ordered circuit-major then method."""
@@ -106,9 +85,6 @@ class SweepResult:
     cells: List[SweepCell]
     cache_hits: int
     wall_seconds: float
-    #: Cells already journaled as complete when a ``--resume`` run began
-    #: (0 for fresh runs and runs without a journal).
-    resumed: int = 0
 
     def table(self) -> str:
         """Render the grid grouped by circuit (Table I layout)."""
@@ -131,75 +107,20 @@ class SweepResult:
 
     def summary(self) -> str:
         n = len(self.results)
-        resumed = f", {self.resumed} resumed" if self.resumed else ""
-        return (f"{n} cells ({self.cache_hits} from cache{resumed}) in "
+        return (f"{n} cells ({self.cache_hits} from cache) in "
                 f"{self.wall_seconds:.2f} s wall")
 
 
-def run_sweep(
-    spec: SweepSpec,
-    executor: Optional[Executor] = None,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, executor: Optional[Executor] = None) -> SweepResult:
     """Expand and execute ``spec``, aggregating per-cell statistics.
 
-    With ``journal_path``, every completed cell's task key is appended
-    (durably, fsync per line) to a JSONL journal as it finishes, so a
-    killed sweep can be rerun with ``resume=True``: journaled cells are
-    served straight from the artifact cache (journal and cache agree by
-    construction — a key is journaled only after its artifact is cached)
-    and only the unfinished tail is recomputed.
+    Each cell's artifact is cached as it completes (when the executor has
+    a cache), so a killed sweep resumes by running it again on the same
+    cache: finished cells replay, only the rest are computed.
     """
     executor = executor or Executor()
     specs = spec.expand()
-
-    journal: Optional[SweepJournal] = None
-    resumed = 0
-    if journal_path is not None:
-        journal = SweepJournal(journal_path, sweep_hash=spec.content_hash())
-        if resume:
-            completed = journal.load()
-            grid_keys = {s.content_hash() for s in specs}
-            resumed = len(completed & grid_keys)
-            missing = [
-                s.label for s in specs
-                if s.content_hash() in completed
-                and executor.cache is not None
-                and not executor.cache.contains(s)
-            ]
-            if missing:
-                # Journal and cache disagree (cache cleared or written
-                # by a different REPRO_CACHE_DIR): recompute those cells
-                # rather than trusting the journal alone.
-                logger.warning(
-                    "journal lists %d completed cells missing from the "
-                    "artifact cache (e.g. %s); recomputing them",
-                    len(missing), missing[0])
-                resumed -= len(missing)
-            if OBS.enabled:
-                OBS.registry.inc("sweep.resumed_cells", resumed)
-            logger.info("resume: %d/%d cells already complete",
-                        resumed, len(specs))
-        # Journal each completion as it happens (not at sweep end) by
-        # chaining onto the executor's progress callback — the only
-        # per-completion hook that fires on every backend.
-        inner_progress = executor.progress
-
-        def journaling_progress(done: int, total: int,
-                                result: TaskResult) -> None:
-            journal.record(result.key, meta={"tag": result.spec.tag})
-            if inner_progress is not None:
-                inner_progress(done, total, result)
-
-        executor.progress = journaling_progress
-
-    try:
-        results = executor.map_tasks(specs)
-    finally:
-        if journal is not None:
-            executor.progress = inner_progress
-            journal.close()
+    results = executor.map_tasks(specs)
 
     by_cell: Dict[tuple, List[FloorplanResult]] = {}
     for task, result in zip(specs, results):
@@ -223,5 +144,4 @@ def run_sweep(
         cells=cells,
         cache_hits=executor.stats.cache_hits,
         wall_seconds=executor.stats.wall_seconds,
-        resumed=resumed,
     )

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from ..resil import chaos
-
 #: Bump to invalidate every cached artifact after a semantic change to any
 #: builtin task function.
 CACHE_VERSION = 1
@@ -113,24 +111,12 @@ class TaskSpec:
     tag:
         Free-form display label for progress output; *excluded* from the
         content hash.
-    timeout:
-        Optional per-task wall-clock deadline in seconds, overriding the
-        executor's default :class:`~repro.resil.RetryPolicy`.  Execution
-        policy, not identity — *excluded* from the content hash, so the
-        same computation keeps its cache entry whatever deadline it ran
-        under.
-    retries:
-        Optional per-task retry budget (extra attempts after the first
-        failure), overriding the executor default.  Also excluded from
-        the hash.
     """
 
     fn: str
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: int = 0
     tag: str = ""
-    timeout: Optional[float] = None
-    retries: Optional[int] = None
 
     def content_hash(self) -> str:
         """Stable hex digest identifying this computation."""
@@ -166,11 +152,6 @@ class TaskResult:
 def run_task(spec: TaskSpec, context: Any = None) -> TaskResult:
     """Execute ``spec`` in the current process, timing the call."""
     fn = get_task(spec.fn)
-    if chaos.enabled():
-        # Fault-injection point for the execution layer: keyed by the
-        # content hash, so the same grid cell is hit on every run
-        # regardless of backend or submission order.
-        chaos.inject_task(spec.content_hash(), spec.label)
     start = time.perf_counter()
     value = fn(spec.params, spec.seed, context)
     return TaskResult(spec=spec, value=value, seconds=time.perf_counter() - start)

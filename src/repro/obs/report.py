@@ -45,9 +45,9 @@ def _rows(header: List[str], rows: List[List[str]]) -> List[str]:
 #: steady-state work; ``render_metrics`` folds them into a dedicated
 #: "resilience" section so retries/sheds/crashes stand out in a post-mortem.
 _RESIL_PREFIXES = (
-    "resil.", "chaos.", "engine.pool_rebuilds", "serve.shed",
-    "serve.deadline_exceeded", "serve.pool_restarts", "serve.queue_depth",
-    "serve.drained", "serve.drain_abandoned", "sweep.resumed_cells",
+    "engine.pool_rebuilds", "serve.shed", "serve.deadline_exceeded",
+    "serve.pool_restarts", "serve.queue_depth", "serve.drained",
+    "serve.drain_abandoned",
 )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from ..floorplan.vecenv import VecEnv, stack_observations
 from ..gnn.rgcn import RGCNEncoder
 from ..graph.features import FEATURE_DIM
 from ..nn import load_module, save_module
-from ..obs import get_logger, profile_scope, span
+from ..obs import get_logger, profile_scope
 from .policy import ActorCritic
-from .ppo import MaskedPPO, TrainHistory, publish_iteration
+from .ppo import IterationStats, MaskedPPO, TrainHistory, publish_iteration
 
 logger = get_logger("rl.agent")
 
@@ -99,20 +99,8 @@ class FloorplanAgent:
         while not curriculum.finished:
             buffer, observations, _ = self.ppo.collect(vec, observations)
             stats = self.ppo.update(buffer)
-            from .ppo import IterationStats
-
             iteration = len(record.history.iterations)
-            record.history.iterations.append(IterationStats(
-                iteration=iteration,
-                episode_reward_mean=self.ppo.episode_reward_mean,
-                approx_kl=stats["approx_kl"],
-                policy_loss=stats["policy_loss"],
-                value_loss=stats["value_loss"],
-                entropy=stats["entropy"],
-                episodes_completed=curriculum.episode,
-                clip_fraction=stats["clip_fraction"],
-            ))
-            publish_iteration(record.history.iterations[-1])
+            self._record_iteration(record.history, stats, curriculum.episode)
             stage = curriculum.stage
             if stage not in seen_stages:
                 seen_stages.add(stage)
@@ -146,20 +134,25 @@ class FloorplanAgent:
             )
             stats = self.ppo.update(buffer)
             done_episodes += finished
-            from .ppo import IterationStats
-
-            history.iterations.append(IterationStats(
-                iteration=len(history.iterations),
-                episode_reward_mean=self.ppo.episode_reward_mean,
-                approx_kl=stats["approx_kl"],
-                policy_loss=stats["policy_loss"],
-                value_loss=stats["value_loss"],
-                entropy=stats["entropy"],
-                episodes_completed=finished,
-                clip_fraction=stats["clip_fraction"],
-            ))
-            publish_iteration(history.iterations[-1])
+            self._record_iteration(history, stats, finished)
         return history
+
+    def _record_iteration(
+        self, history: TrainHistory, stats: Dict[str, float],
+        episodes_completed: int,
+    ) -> None:
+        """Append one PPO iteration's diagnostics to ``history`` and publish."""
+        history.iterations.append(IterationStats(
+            iteration=len(history.iterations),
+            episode_reward_mean=self.ppo.episode_reward_mean,
+            approx_kl=stats["approx_kl"],
+            policy_loss=stats["policy_loss"],
+            value_loss=stats["value_loss"],
+            entropy=stats["entropy"],
+            episodes_completed=episodes_completed,
+            clip_fraction=stats["clip_fraction"],
+        ))
+        publish_iteration(history.iterations[-1])
 
     # ------------------------------------------------------------------
     # Inference
@@ -224,10 +217,9 @@ class FloorplanAgent:
     def clone(self) -> "FloorplanAgent":
         """Independent copy (own optimizer state) for per-circuit fine-tuning.
 
-        The config is copied as well: ``fine_tune`` temporarily rewrites
-        ``rollout_steps`` on its config, and clones fine-tuning
-        concurrently (e.g. Table I cells on the engine's thread backend)
-        must not race on one shared ``TrainConfig``.
+        The config is copied as well, so a clone shares no mutable state
+        with its source: clones fine-tuning concurrently (e.g. Table I
+        cells on the engine's thread backend) stay independent.
         """
         twin = FloorplanAgent(config=replace(self.config))
         twin.policy.load_state_dict(self.policy.state_dict())

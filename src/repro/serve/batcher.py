@@ -25,7 +25,7 @@ dies.
 Backpressure: the queue is bounded (``maxsize``, default 1024 — generous
 for the ~max_batch×sessions depth a healthy service sees).  When the
 consumer cannot keep up, :meth:`submit` fails fast with
-:class:`~repro.resil.QueueFullError` instead of letting the queue grow
+:class:`QueueFullError` instead of letting the queue grow
 without limit; the server maps that onto an explicit load-shed response.
 Depth is published as the ``serve.queue_depth`` gauge when telemetry is
 on.
@@ -37,13 +37,23 @@ import asyncio
 from typing import Any, Awaitable, Callable, Generic, List, Sequence, Tuple, TypeVar
 
 from ..obs import OBS
-from ..resil import QueueFullError
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 #: Handler signature: a batch of items -> one result per item, aligned.
 BatchHandler = Callable[[List[ItemT]], Awaitable[Sequence[ResultT]]]
+
+
+class QueueFullError(RuntimeError):
+    """A bounded queue rejected an item (backpressure, not a crash)."""
+
+    def __init__(self, depth: int, maxsize: int, what: str = "queue"):
+        self.depth = depth
+        self.maxsize = maxsize
+        super().__init__(
+            f"{what} is full ({depth}/{maxsize} pending); shedding load"
+        )
 
 
 class MicroBatcher(Generic[ItemT, ResultT]):
@@ -106,7 +116,7 @@ class MicroBatcher(Generic[ItemT, ResultT]):
     async def submit(self, item: ItemT) -> ResultT:
         """Enqueue ``item`` and await its result from a batched call.
 
-        Raises :class:`~repro.resil.QueueFullError` when the bounded
+        Raises :class:`QueueFullError` when the bounded
         queue is at capacity — fail fast so the caller can shed load,
         rather than queueing into unbounded memory and latency.
         """

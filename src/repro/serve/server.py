@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import hashlib
 import multiprocessing
 import os
 import time
@@ -61,10 +60,8 @@ from ..floorplan.vecenv import stack_observations
 from ..graph.hetero import HeteroGraph
 from ..obs import OBS, drain_worker, get_logger, merge_worker, trace_context
 from ..obs.metrics import MetricsRegistry
-from ..resil import OverloadedError, QueueFullError
-from ..resil import chaos
 from ..rl.agent import FloorplanAgent
-from .batcher import MicroBatcher
+from .batcher import MicroBatcher, QueueFullError
 from .protocol import (
     PROTOCOL_VERSION,
     RL_METHOD,
@@ -78,6 +75,18 @@ from .protocol import (
 )
 
 logger = get_logger("serve")
+
+
+class OverloadedError(RuntimeError):
+    """The server's admission limit was hit; the request was shed."""
+
+    def __init__(self, inflight: int, limit: int):
+        self.inflight = inflight
+        self.limit = limit
+        super().__init__(
+            f"server overloaded: {inflight} requests in flight "
+            f"(max_inflight={limit}); request shed"
+        )
 
 
 @dataclass
@@ -100,7 +109,7 @@ class ServeConfig:
     cache_dir: Optional[str] = None     #: cache root override
     agent_prefix: Optional[str] = None  #: checkpoint prefix to load
     agent_seed: int = 0                 #: fresh-agent init seed (no checkpoint)
-    # -- fault tolerance (repro.resil) ---------------------------------
+    # -- fault tolerance ------------------------------------------------
     max_inflight: int = 64              #: admission cap on concurrent solves
     deadline_ms: Optional[float] = None  #: server-default per-request deadline
     queue_size: int = 1024              #: micro-batcher queue bound
@@ -112,6 +121,8 @@ class ServeConfig:
             raise ValueError(
                 f"backend must be serial|thread|process, got {self.backend!r}"
             )
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_inflight < 1:
@@ -311,12 +322,6 @@ class SolveServer:
                 return  # EOF: client closed
             if not line.strip():
                 continue
-            if chaos.enabled() and chaos.drop_connection(
-                    hashlib.sha256(line).hexdigest()):
-                # Injected fault: die after reading the request, before
-                # any response — the worst spot for a client, which must
-                # reconnect and resend (idempotent by content-addressing).
-                return
             response = await self._dispatch(line.strip())
             try:
                 writer.write(response)
@@ -581,8 +586,8 @@ class SolveServer:
     async def _solve_baseline(self, spec: TaskSpec) -> FloorplanResult:
         """Shard a cold full solve to the engine's process backend.
 
-        A crashed pool (``BrokenProcessPool`` — an OOM-killed or chaos-
-        killed worker) is torn down and rebuilt automatically, up to
+        A crashed pool (``BrokenProcessPool`` — an OOM-killed or
+        segfaulted worker) is torn down and rebuilt automatically, up to
         ``config.pool_restarts`` times per server lifetime, and the
         solve is resubmitted; the request only fails once the restart
         budget is spent.

@@ -46,6 +46,17 @@ class TestParser:
         assert args.seeds == 5
         assert args.set == ["moves_per_temperature=10"]
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--journal", "x"],
+        ["sweep", "--resume"],
+        ["table1", "--task-retries", "1"],
+        ["serve", "--task-timeout", "1"],
+    ])
+    def test_removed_fault_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+
     def test_pipeline_accepts_multiple_circuits(self):
         args = build_parser().parse_args(["pipeline", "ota1", "ota2"])
         assert args.circuits == ["ota1", "ota2"]

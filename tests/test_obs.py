@@ -431,6 +431,23 @@ class TestReport:
         assert "training iterations" in text
         assert "ppo.update" in text
 
+    def test_resilience_section_holds_fault_counters(self, tmp_path):
+        with obs.enabled_scope():
+            obs.inc("env.steps", 10)
+            obs.inc("engine.pool_rebuilds", 2)
+            obs.inc("serve.shed", 3)
+            obs.inc("serve.deadline_exceeded", 1)
+            metrics = str(tmp_path / "m.jsonl")
+            obs.write_metrics(metrics)
+        text = obs.render_report(metrics_path=metrics)
+        head, counters = text.split("== counters ==")
+        assert "== resilience ==" in head
+        for name in ("engine.pool_rebuilds", "serve.shed",
+                     "serve.deadline_exceeded"):
+            assert name in head
+            assert name not in counters
+        assert "env.steps" in counters
+
     def test_report_subcommand(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,15 +1,15 @@
-"""Seeded fault-injection matrix (repro.resil.chaos) across the two
-process boundaries — engine pools and the solve service — plus the
-crash-resumable-sweep regression.
+"""Fault injection across the two process boundaries — engine pools and
+the solve service — plus the killed-sweep-then-rerun regression.
 
-Every test derives its injector seed from ``$REPRO_CHAOS_SEED`` (the CI
-chaos job runs a small seed matrix; locally it defaults to 0), and every
-assertion about "did a fault fire" is computed from the same pure hash
-the injector uses — so these tests are deterministic per seed, never
-probabilistic.
+Every fault is injected from the test side, with no hook in ``src/``:
+a registered task that kills its own worker, a cache file overwritten
+with garbage, a server whose ``_dispatch`` drops the first connection,
+and a sweep subprocess that kills itself from its ``progress`` callback.
+Each injection is deterministic, so these tests never depend on timing
+luck.
 """
 
-import json
+import asyncio
 import os
 import subprocess
 import sys
@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-from repro import obs
 from repro.config import TrainConfig
 from repro.engine import (
     ArtifactCache,
@@ -29,51 +28,11 @@ from repro.engine import (
     register_task,
     run_sweep,
 )
-from repro.resil import RetryPolicy, SweepJournal
-from repro.resil import chaos
-from repro.resil.chaos import KILL_EXIT_CODE, _fraction
 from repro.rl import FloorplanAgent
 from repro.serve import ServeConfig, ServerThread, SolveClient
 
-#: CI matrix leg: shifts every injector seed so each leg exercises a
-#: different deterministic fault schedule.
-CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-
-
-@pytest.fixture(scope="module", autouse=True)
-def chaos_artifacts():
-    """CI post-mortem artifact: when the chaos job sets
-    ``$REPRO_CHAOS_TRACE`` / ``$REPRO_CHAOS_METRICS``, record telemetry
-    across this module and write it out at the end (uploaded on
-    failure).  A no-op locally."""
-    trace_path = os.environ.get("REPRO_CHAOS_TRACE")
-    if trace_path:
-        obs.enable()
-    yield
-    if trace_path:
-        try:
-            obs.write_trace(trace_path)
-            metrics_path = os.environ.get("REPRO_CHAOS_METRICS")
-            if metrics_path:
-                obs.write_metrics(metrics_path)
-        except Exception:
-            pass
-        obs.disable()
-
-
-@pytest.fixture
-def chaos_env(monkeypatch, tmp_path):
-    """Arm chaos via the environment (so forked workers inherit it) and
-    guarantee a clean slate before and after."""
-    marker_dir = tmp_path / "chaos-markers"
-
-    def arm(spec: str) -> None:
-        monkeypatch.setenv(chaos.ENV_VAR, spec)
-        monkeypatch.setenv(chaos.DIR_ENV_VAR, str(marker_dir))
-
-    chaos.uninstall()
-    yield arm
-    chaos.uninstall()
+#: Exit status of a deliberately killed worker or sweep process.
+KILL_EXIT_CODE = 43
 
 
 @pytest.fixture
@@ -90,9 +49,38 @@ def small_agent(seed: int = 0) -> FloorplanAgent:
     ))
 
 
-@register_task("chaos_echo")
-def _chaos_echo(params, seed, context):
+@register_task("fault_echo")
+def _fault_echo(params, seed, context):
     return seed * 7
+
+
+@register_task("fault_kill_once")
+def _fault_kill_once(params, seed, context):
+    """Dies hard on the victim's first run, succeeds after that."""
+    marker = params["marker"]
+    if params["victim"] and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(KILL_EXIT_CODE)
+    return seed * 7
+
+
+def drop_first_connection(server) -> None:
+    """Make ``server`` hang up on the first request it reads, unanswered.
+
+    The connection handler treats ``CancelledError`` as "this connection
+    is over" and closes the socket — the worst spot for a client, which
+    must reconnect and resend (safe: answers are content-addressed).
+    """
+    dispatch = server._dispatch
+    dropped = []
+
+    async def dropping_dispatch(line: bytes) -> bytes:
+        if not dropped:
+            dropped.append(line)
+            raise asyncio.CancelledError
+        return await dispatch(line)
+
+    server._dispatch = dropping_dispatch
 
 
 # ---------------------------------------------------------------------------
@@ -100,79 +88,44 @@ def _chaos_echo(params, seed, context):
 # ---------------------------------------------------------------------------
 
 class TestEngineChaos:
-    @pytest.mark.parametrize("leg", range(2))
-    def test_kill_worker_matrix_ordered_results_survive(self, leg,
-                                                        chaos_env, fork_ctx):
-        """Seeded kills across the task grid: whatever subset the hash
-        selects, results come back complete and ordered."""
-        seed = CHAOS_SEED * 100 + leg
-        specs = [TaskSpec(fn="chaos_echo", seed=s) for s in range(8)]
-        victims = [s.content_hash() for s in specs
-                   if _fraction(seed, "kill_worker", s.content_hash()) < 0.5]
-        chaos_env(f"kill_worker:rate=0.5,seed={seed}")
+    @pytest.mark.parametrize("leg", range(3))
+    def test_kill_worker_matrix_ordered_results_survive(self, leg, tmp_path,
+                                                        fork_ctx):
+        """A worker killed at the first, a middle or the last grid
+        position: the pool is rebuilt and results come back complete and
+        in submission order."""
+        n = 8
+        victim = (0, n // 2, n - 1)[leg]
+        marker = str(tmp_path / "killed")
+        specs = [TaskSpec(fn="fault_kill_once", seed=s,
+                          params={"marker": marker, "victim": s == victim})
+                 for s in range(n)]
         ex = Executor(backend="process", workers=2)
         results = ex.map_tasks(specs)
-        assert [r.value for r in results] == [s * 7 for s in range(8)]
-        if victims:
-            assert ex.stats.pool_rebuilds >= 1
-        else:
-            assert ex.stats.pool_rebuilds == 0
-
-    def test_hang_task_recovered_by_timeout_and_retry_process(self,
-                                                              chaos_env,
-                                                              fork_ctx):
-        chaos_env(f"hang_task:rate=1,value=60,seed={CHAOS_SEED}")
-        specs = [TaskSpec(fn="chaos_echo", seed=s) for s in range(2)]
-        ex = Executor(backend="process", workers=2,
-                      policy=RetryPolicy(retries=1, timeout=1.0,
-                                         backoff=0.01))
-        began = time.perf_counter()
-        results = ex.map_tasks(specs)
-        assert [r.value for r in results] == [0, 7]
-        assert time.perf_counter() - began < 30.0  # not 60: hang reclaimed
-        # At least one deadline blew; the rebuild it triggers may rescue
-        # the other hung task before its own deadline expires.
-        assert ex.stats.timeouts >= 1
+        assert [r.value for r in results] == [s * 7 for s in range(n)]
+        assert os.path.exists(marker)  # the victim really died once
         assert ex.stats.pool_rebuilds >= 1
+        assert ex.stats.retries >= 1
+        assert ex.stats.computed == n
 
-    def test_hang_task_recovered_serial(self, chaos_env):
-        chaos_env(f"hang_task:rate=1,value=5,seed={CHAOS_SEED}")
-        ex = Executor(backend="serial",
-                      policy=RetryPolicy(retries=1, timeout=0.3,
-                                         backoff=0.01))
-        results = ex.map_tasks([TaskSpec(fn="chaos_echo", seed=3)])
-        assert results[0].value == 21
-        assert ex.stats.timeouts == 1
-        assert ex.stats.retries == 1
-
-    def test_delay_task_slows_but_never_fails(self, chaos_env):
-        chaos_env(f"delay_task:rate=1,value=20,seed={CHAOS_SEED},once=0")
-        specs = [TaskSpec(fn="chaos_echo", seed=s) for s in range(3)]
-        with obs.enabled_scope():
-            ex = Executor(backend="serial")
-            results = ex.map_tasks(specs)
-            fired = obs.OBS.registry.counters.get("chaos.fired.delay_task", 0)
-        assert [r.value for r in results] == [0, 7, 14]
-        assert fired == 3
-        assert ex.stats.wall_seconds >= 3 * 0.020
-
-    def test_corrupt_cache_entry_evicted_and_recomputed(self, chaos_env,
-                                                        tmp_path):
-        spec = TaskSpec(fn="chaos_echo", seed=4)
-        root = str(tmp_path / "cache")
+    def test_corrupt_cache_entry_evicted_and_recomputed(self, tmp_path):
+        spec = TaskSpec(fn="fault_echo", seed=4)
+        root = tmp_path / "cache"
         warm = Executor(backend="serial", cache=ArtifactCache(root=root))
         warm.map_tasks([spec])
         assert ArtifactCache(root=root).get(spec) is not None
 
-        chaos_env(f"corrupt_cache:rate=1,seed={CHAOS_SEED}")
-        ex = Executor(backend="serial", cache=ArtifactCache(root=root))
+        meta_path = next(root.rglob("*.json"))
+        meta_path.write_text("{not json")
+        cache = ArtifactCache(root=root)
+        ex = Executor(backend="serial", cache=cache)
         results = ex.map_tasks([spec])
         assert results[0].value == 28   # recomputed, not poisoned
+        assert cache.corrupt == 1
         assert ex.stats.cache_hits == 0
         assert ex.stats.computed == 1
 
-        # The once-marker is claimed and the entry was rewritten: the
-        # next read is a clean hit even with chaos still armed.
+        # The entry was rewritten: the next read is a clean hit.
         again = Executor(backend="serial", cache=ArtifactCache(root=root))
         again.map_tasks([spec])
         assert again.stats.cache_hits == 1
@@ -183,22 +136,21 @@ class TestEngineChaos:
 # ---------------------------------------------------------------------------
 
 class TestServeChaos:
-    def test_drop_conn_recovered_by_client_retry(self, chaos_env, tmp_path):
-        chaos_env(f"drop_conn:rate=1,seed={CHAOS_SEED}")
+    def test_drop_conn_recovered_by_client_retry(self, tmp_path):
         config = ServeConfig(backend="serial", cache=True,
                              cache_dir=str(tmp_path / "cache"))
         with ServerThread(config, agent=small_agent()) as handle:
+            drop_first_connection(handle.server)
             with SolveClient(handle.address, retries=1) as client:
-                # First send is dropped mid-request; the resent line is
-                # byte-identical, so its once-marker is already claimed
-                # and the retry goes through.
+                # The first send is dropped unanswered; the client
+                # reconnects and resends the identical line.
                 response = client.solve("ota_small", seed=0)
                 assert response["result"]["area"] > 0
 
-    def test_drop_conn_without_retries_surfaces(self, chaos_env, tmp_path):
-        chaos_env(f"drop_conn:rate=1,seed={CHAOS_SEED + 1}")
+    def test_drop_conn_without_retries_surfaces(self):
         config = ServeConfig(backend="serial", cache=False)
         with ServerThread(config, agent=small_agent()) as handle:
+            drop_first_connection(handle.server)
             with SolveClient(handle.address, retries=0) as client:
                 with pytest.raises(OSError):
                     client.solve("ota_small", seed=0)
@@ -271,17 +223,22 @@ class TestServeChaos:
 
 
 # ---------------------------------------------------------------------------
-# Crash-resumable sweeps: mid-sweep kill, then bit-identical resume
+# Killed sweep, re-run on the same cache: bit-identical, tail recomputed
 # ---------------------------------------------------------------------------
 
-_SWEEP_SCRIPT = textwrap.dedent("""
-    import sys
+_SWEEP_SCRIPT = textwrap.dedent(f"""
+    import os, sys
     from repro.engine import ArtifactCache, Executor, SweepSpec, run_sweep
-    cache_dir, journal = sys.argv[1], sys.argv[2]
+
+    def die_after_two(done, total, result):
+        if done == 2:
+            os._exit({KILL_EXIT_CODE})
+
     spec = SweepSpec(methods=["sa"], circuits=["ota_small"],
-                     seeds=range(4), config={"moves_per_temperature": 4})
-    ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
-    run_sweep(spec, executor=ex, journal_path=journal)
+                     seeds=range(4), config={{"moves_per_temperature": 4}})
+    ex = Executor(backend="serial", cache=ArtifactCache(root=sys.argv[1]),
+                  progress=die_after_two)
+    run_sweep(spec, executor=ex)
     print("completed-without-kill")
 """)
 
@@ -292,56 +249,30 @@ class TestSweepResume:
                          seeds=range(4),
                          config={"moves_per_temperature": 4})
 
-    def _kill_seed(self, keys, victim_index):
-        """The first chaos seed whose schedule kills exactly one cell —
-        ``victim_index`` — at rate 0.25 (a pure-hash search, so the CI
-        seed matrix shifts which schedule is exercised)."""
-        rate = 0.25
-        for seed in range(CHAOS_SEED * 1000, CHAOS_SEED * 1000 + 5000):
-            fired = [k for k in keys
-                     if _fraction(seed, "kill_worker", k) < rate]
-            if fired == [keys[victim_index]]:
-                return seed
-        raise AssertionError("no suitable kill seed found")
-
-    def test_mid_sweep_kill_then_resume_is_bit_identical(self, tmp_path,
-                                                         monkeypatch):
-        monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-        chaos.uninstall()
+    def test_mid_sweep_kill_then_resume_is_bit_identical(self, tmp_path):
         spec = self._spec()
-        keys = [s.content_hash() for s in spec.expand()]
-        kill_seed = self._kill_seed(keys, victim_index=2)
-
         cache_dir = str(tmp_path / "cache")
-        journal_path = str(tmp_path / "journal.jsonl")
         env = dict(os.environ)
-        env["REPRO_CHAOS"] = f"kill_worker:rate=0.25,seed={kill_seed}"
-        env["REPRO_CHAOS_DIR"] = str(tmp_path / "markers")
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH", "")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", _SWEEP_SCRIPT, cache_dir, journal_path],
+            [sys.executable, "-c", _SWEEP_SCRIPT, cache_dir],
             env=env, capture_output=True, text=True, timeout=300,
         )
-        # The serial sweep process itself is the kill_worker victim: it
-        # must die mid-sweep with the sentinel code, cells 0-1 journaled.
+        # The sweep process dies after its second cell completes; each
+        # cell's artifact is cached before the callback fires.
         assert proc.returncode == KILL_EXIT_CODE, proc.stderr
         assert "completed-without-kill" not in proc.stdout
-        journaled = SweepJournal(journal_path,
-                                 sweep_hash=spec.content_hash()).load()
-        assert journaled == set(keys[:2])
 
-        # Warm resume, no chaos: zero completed cells recomputed.
-        ex = Executor(backend="serial",
-                      cache=ArtifactCache(root=cache_dir))
-        resumed = run_sweep(spec, executor=ex, journal_path=journal_path,
-                            resume=True)
-        assert resumed.resumed == 2
-        assert ex.stats.cache_hits == 2   # journal and cache agree
-        assert ex.stats.computed == 2     # only the unfinished tail
+        # Re-run on the same cache: the two finished cells replay, only
+        # the unfinished tail is computed.
+        ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
+        resumed = run_sweep(spec, executor=ex)
+        assert ex.stats.cache_hits == 2
+        assert ex.stats.computed == 2
 
-        # Bit-identical to an uninterrupted run (fresh cache, fresh
-        # journal): every deterministic per-run metric matches exactly.
+        # Bit-identical to an uninterrupted run on a fresh cache: every
+        # deterministic per-run metric matches exactly.
         ref_ex = Executor(backend="serial",
                           cache=ArtifactCache(root=str(tmp_path / "ref")))
         reference = run_sweep(spec, executor=ref_ex)
@@ -351,48 +282,10 @@ class TestSweepResume:
                           for r in reference.results]
         assert resumed_runs == reference_runs
         assert (resumed.summary().split(" in ")[0]
-                == "4 cells (2 from cache, 2 resumed)")
+                == "4 cells (2 from cache)")
 
-        # A second resume finds everything journaled: nothing computed.
-        ex2 = Executor(backend="serial",
-                       cache=ArtifactCache(root=cache_dir))
-        full = run_sweep(spec, executor=ex2, journal_path=journal_path,
-                         resume=True)
-        assert full.resumed == 4
+        # A third run finds every cell cached: nothing computed.
+        ex2 = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
+        run_sweep(spec, executor=ex2)
         assert ex2.stats.computed == 0
         assert ex2.stats.cache_hits == 4
-
-    def test_resume_distrusts_journal_when_cache_is_gone(self, tmp_path):
-        spec = self._spec()
-        journal_path = str(tmp_path / "journal.jsonl")
-        cache_dir = str(tmp_path / "cache")
-        ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
-        run_sweep(spec, executor=ex, journal_path=journal_path)
-
-        # Journal says done, but the artifacts vanished (cache cleared):
-        # resume must recompute rather than trust the journal alone.
-        fresh_cache = str(tmp_path / "elsewhere")
-        ex2 = Executor(backend="serial",
-                       cache=ArtifactCache(root=fresh_cache))
-        result = run_sweep(spec, executor=ex2, journal_path=journal_path,
-                           resume=True)
-        assert result.resumed == 0
-        assert ex2.stats.computed == 4
-
-    def test_journal_stamp_ignores_other_grids(self, tmp_path):
-        spec = self._spec()
-        journal_path = str(tmp_path / "journal.jsonl")
-        cache_dir = str(tmp_path / "cache")
-        ex = Executor(backend="serial", cache=ArtifactCache(root=cache_dir))
-        run_sweep(spec, executor=ex, journal_path=journal_path)
-
-        # Same journal path, different grid: completions must not carry.
-        other = SweepSpec(methods=["sa"], circuits=["ota_small"],
-                          seeds=range(2),
-                          config={"moves_per_temperature": 8})
-        ex2 = Executor(backend="serial",
-                       cache=ArtifactCache(root=cache_dir))
-        result = run_sweep(other, executor=ex2, journal_path=journal_path,
-                           resume=True)
-        assert result.resumed == 0
-        assert ex2.stats.computed == 2

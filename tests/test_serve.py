@@ -16,7 +16,7 @@ import pytest
 
 from repro.circuits import get_circuit
 from repro.config import TrainConfig
-from repro.engine import TaskSpec
+from repro.engine import Executor, TaskSpec
 from repro.floorplan import stack_observations
 from repro.rl import FloorplanAgent
 from repro.serve import (
@@ -418,3 +418,15 @@ class TestServeBaselines:
                 config={"moves_per_temperature": 4})
             assert response["result"]["method"] == "SA"
             assert response["result"]["area"] > 0
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        # Rejected up front, with the engine's message — not silently
+        # read as "CPU count" (0) or left to fail every baseline solve
+        # at pool start-up (negative).
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ServeConfig(workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            Executor(workers=workers)
